@@ -1,39 +1,37 @@
-(* Driver for the determinism & charge-discipline lint, the
-   zero-allocation certifier and the domain-safety certifier (lib/lint).
+(* Driver for the three lint families (lib/lint): the determinism &
+   charge-discipline rules, the zero-allocation certifier and the
+   domain-safety certifier.
 
-   Usage: mutps_lint [--format text|json] [--intra-only]
-                     [--strict-suppressions] [--lock-graph FILE]
-                     [DIR-OR-FILE ...]
+   Usage: mutps_lint [--format text|json] [--strict-suppressions]
+                     [--lock-graph FILE] [DIR-OR-FILE ...]
                                           (default roots: lib bin bench examples)
 
-   Runs in project mode: every file is parsed once, checked with the
-   intra-procedural rules (R1/R2/R4 plus everything but the lexical R3),
-   and the whole set is then analyzed as one closed world three times —
-   by the interprocedural charge pass (lib/lint/interp.ml), which
-   refines R3 across call sites and catches R2 leaks through sanctioned
-   raw-access helpers; by the allocation certifier (lib/lint/alloc.ml),
+   Every file is parsed once into one closed world (lib/lint/world.ml),
+   which the three families then analyze: the R rules (lib/lint/lint.ml),
+   an intra-procedural pass for R1/R2/R4 plus an interprocedural one that
+   judges R3 across call sites and catches R2 leaks through sanctioned
+   raw-access helpers; the allocation certifier (lib/lint/alloc.ml),
    which proves every function reachable from a [@hot] root free of heap
-   allocation (A1), boxing (A2) and observability escapes (A3); and by
-   the domain-safety certifier (lib/lint/dom.ml), which proves
-   module-level mutable state synchronized (D1), spawn captures
-   protected (D2), the lock-order graph acyclic (D3) and effect performs
-   handler-dominated per domain (D4).  [--intra-only] restores the
-   purely lexical R3 rule and skips the project passes — useful when
-   linting a lone file out of context.
+   allocation (A1), boxing (A2) and observability escapes (A3); and the
+   domain-safety certifier (lib/lint/dom.ml), which proves module-level
+   mutable state synchronized (D1), spawn captures protected (D2), the
+   lock-order graph acyclic (D3) and effect performs handler-dominated
+   per domain (D4).
 
    Emits "file:line:col: [RULE] message" per finding (the shape the CI
    problem matcher parses), or a JSON object with [--format json], and
    exits non-zero when any finding or parse error is produced.
-   Suppressions are accounted per rule family (R vs A vs D) and stale
-   sites of all three attributes ([@lint.allow], [@alloc.allow],
-   [@dom.allow]) — ones that no longer cover any would-be finding — are
-   listed so they can be deleted; [--strict-suppressions] turns any
-   stale site into a non-zero exit (CI runs this).  [--lock-graph FILE]
-   writes the D3 lock-order graph as DOT.  Wired to `dune build @lint`;
-   see DESIGN.md "Determinism invariants", §9 and §10. *)
+   Suppressions are accounted per rule family (R vs A vs D) from the
+   world's one registry, and stale sites of all three attributes
+   ([@lint.allow], [@alloc.allow], [@dom.allow]) — ones that no longer
+   cover any would-be finding — are listed so they can be deleted;
+   [--strict-suppressions] turns any stale site into a non-zero exit (CI
+   runs this).  [--lock-graph FILE] writes the D3 lock-order graph as
+   DOT.  Wired to `dune build @lint`; see DESIGN.md "Determinism
+   invariants", §9 and §10. *)
 
+module World = Mutps_lint.World
 module Lint = Mutps_lint.Lint
-module Interp = Mutps_lint.Interp
 module Alloc = Mutps_lint.Alloc
 module Dom = Mutps_lint.Dom
 
@@ -68,110 +66,102 @@ let status_string = function
   | Dom.S_locked l -> "locked:" ^ l
   | Dom.S_flagged -> "flagged"
 
-let json_allow_sites (sites : Lint.allow_site list) =
+let plural n = if n = 1 then "" else "s"
+
+let json_allow_sites (sites : World.allow_site list) =
   String.concat ","
     (List.map
-       (fun (s : Lint.allow_site) ->
+       (fun (s : World.allow_site) ->
          Printf.sprintf
            "\n      { \"attr\": \"%s\", \"file\": \"%s\", \"line\": %d, \
             \"uses\": %d, \"payload\": \"%s\" }"
-           (json_escape s.Lint.as_attr) (json_escape s.Lint.as_file)
-           s.Lint.as_line s.Lint.as_uses
-           (json_escape s.Lint.as_payload))
+           (json_escape s.as_attr) (json_escape s.as_file) s.as_line
+           (World.uses s) (json_escape s.as_payload))
        sites)
 
-let print_json findings ~r_suppressed ~(alloc : Alloc.result option)
-    ~(dom : Dom.result option) ~lint_sites =
+let print_json findings ~r_suppressed ~(alloc : Alloc.result) ~alloc_sites
+    ~(dom : Dom.result) ~dom_sites ~lint_sites =
   print_string "{\n  \"findings\": [";
   List.iteri
-    (fun i (f : Lint.finding) ->
+    (fun i (f : World.finding) ->
       Printf.printf "%s\n    { \"file\": \"%s\", \"line\": %d, \"col\": %d, \
                      \"rule\": \"%s\", \"message\": \"%s\" }"
         (if i = 0 then "" else ",")
-        (json_escape f.Lint.file) f.Lint.line f.Lint.col
-        (json_escape f.Lint.rule) (json_escape f.Lint.msg))
+        (json_escape f.file) f.line f.col (json_escape f.rule)
+        (json_escape f.msg))
     findings;
   print_string (if findings = [] then "],\n" else "\n  ],\n");
-  let rules = List.sort_uniq compare (List.map fst r_suppressed) in
+  let rules = List.sort_uniq compare r_suppressed in
   Printf.printf "  \"suppressed\": { %s },\n"
     (String.concat ", "
        (List.map
           (fun r ->
             Printf.sprintf "\"%s\": %d" (json_escape r)
-              (List.length (List.filter (fun (r', _) -> r' = r) r_suppressed)))
+              (List.length (List.filter (String.equal r) r_suppressed)))
           rules));
   Printf.printf "  \"lint_allow_sites\": [%s],\n" (json_allow_sites lint_sites);
-  (match alloc with
-  | None -> print_string "  \"alloc\": null,\n"
-  | Some a ->
-    Printf.printf
-      "  \"alloc\": {\n\
-      \    \"hot_roots\": [%s],\n\
-      \    \"certified\": %d,\n\
-      \    \"allow_sites\": [%s]\n\
-      \  },\n"
-      (String.concat ", "
-         (List.map (fun r -> "\"" ^ json_escape r ^ "\"") a.Alloc.hot_roots))
-      (List.length a.Alloc.hot_set)
-      (String.concat ","
-         (List.map
-            (fun (s : Alloc.allow_site) ->
-              Printf.sprintf
-                "\n      { \"file\": \"%s\", \"line\": %d, \"uses\": %d, \
-                 \"reason\": \"%s\" }"
-              (json_escape s.Alloc.al_file) s.Alloc.al_line s.Alloc.al_uses
-              (json_escape s.Alloc.al_reason))
-            a.Alloc.allow_sites)));
-  (match dom with
-  | None -> print_string "  \"dom\": null\n"
-  | Some d ->
-    let g = d.Dom.graph in
-    Printf.printf
-      "  \"dom\": {\n\
-      \    \"globals\": [%s],\n\
-      \    \"mutable_types\": %d,\n\
-      \    \"lock_nodes\": [%s],\n\
-      \    \"lock_edges\": [%s],\n\
-      \    \"lock_cycles\": [%s],\n\
-      \    \"allow_sites\": [%s]\n\
-      \  }\n"
-      (String.concat ","
-         (List.map
-            (fun (gl : Dom.global) ->
-              Printf.sprintf
-                "\n      { \"key\": \"%s\", \"file\": \"%s\", \"line\": %d, \
-                 \"what\": \"%s\", \"status\": \"%s\" }"
-                (json_escape gl.Dom.g_key) (json_escape gl.Dom.g_file)
-                gl.Dom.g_line (json_escape gl.Dom.g_what)
-                (json_escape (status_string gl.Dom.g_status)))
-            d.Dom.globals))
-      d.Dom.mutable_types
-      (String.concat ", "
-         (List.map
-            (fun n -> "\"" ^ json_escape n ^ "\"")
-            (Dom.Lockgraph.nodes g)))
-      (String.concat ","
-         (List.map
-            (fun (src, dst, file, line) ->
-              Printf.sprintf
-                "\n      { \"src\": \"%s\", \"dst\": \"%s\", \"file\": \
-                 \"%s\", \"line\": %d }"
-                (json_escape src) (json_escape dst) (json_escape file) line)
-            (Dom.Lockgraph.edges g)))
-      (String.concat ", "
-         (List.map
-            (fun cyc ->
-              "["
-              ^ String.concat ", "
-                  (List.map (fun n -> "\"" ^ json_escape n ^ "\"") cyc)
-              ^ "]")
-            (Dom.Lockgraph.cycles g)))
-      (json_allow_sites d.Dom.allow_sites));
+  Printf.printf
+    "  \"alloc\": {\n\
+    \    \"hot_roots\": [%s],\n\
+    \    \"certified\": %d,\n\
+    \    \"allow_sites\": [%s]\n\
+    \  },\n"
+    (String.concat ", "
+       (List.map (fun r -> "\"" ^ json_escape r ^ "\"") alloc.Alloc.hot_roots))
+    (List.length alloc.Alloc.hot_set)
+    (String.concat ","
+       (List.map
+          (fun (s : World.allow_site) ->
+            Printf.sprintf
+              "\n      { \"file\": \"%s\", \"line\": %d, \"uses\": %d, \
+               \"reason\": \"%s\" }"
+              (json_escape s.as_file) s.as_line (World.uses s)
+              (json_escape s.as_payload))
+          alloc_sites));
+  let g = dom.Dom.graph in
+  Printf.printf
+    "  \"dom\": {\n\
+    \    \"globals\": [%s],\n\
+    \    \"mutable_types\": %d,\n\
+    \    \"lock_nodes\": [%s],\n\
+    \    \"lock_edges\": [%s],\n\
+    \    \"lock_cycles\": [%s],\n\
+    \    \"allow_sites\": [%s]\n\
+    \  }\n"
+    (String.concat ","
+       (List.map
+          (fun (gl : Dom.global) ->
+            Printf.sprintf
+              "\n      { \"key\": \"%s\", \"file\": \"%s\", \"line\": %d, \
+               \"what\": \"%s\", \"status\": \"%s\" }"
+              (json_escape gl.Dom.g_key) (json_escape gl.Dom.g_file)
+              gl.Dom.g_line (json_escape gl.Dom.g_what)
+              (json_escape (status_string gl.Dom.g_status)))
+          dom.Dom.globals))
+    dom.Dom.mutable_types
+    (String.concat ", "
+       (List.map (fun n -> "\"" ^ json_escape n ^ "\"") (Dom.Lockgraph.nodes g)))
+    (String.concat ","
+       (List.map
+          (fun (src, dst, file, line) ->
+            Printf.sprintf
+              "\n      { \"src\": \"%s\", \"dst\": \"%s\", \"file\": \
+               \"%s\", \"line\": %d }"
+              (json_escape src) (json_escape dst) (json_escape file) line)
+          (Dom.Lockgraph.edges g)))
+    (String.concat ", "
+       (List.map
+          (fun cyc ->
+            "["
+            ^ String.concat ", "
+                (List.map (fun n -> "\"" ^ json_escape n ^ "\"") cyc)
+            ^ "]")
+          (Dom.Lockgraph.cycles g)))
+    (json_allow_sites dom_sites);
   print_string "}\n"
 
 let () =
   let format = ref `Text
-  and intra_only = ref false
   and strict_suppressions = ref false
   and lock_graph = ref None in
   let roots =
@@ -185,9 +175,6 @@ let () =
       | "--format" :: _ ->
         prerr_endline "mutps_lint: --format expects 'text' or 'json'";
         exit 2
-      | "--intra-only" :: rest ->
-        intra_only := true;
-        parse acc rest
       | "--strict-suppressions" :: rest ->
         strict_suppressions := true;
         parse acc rest
@@ -211,173 +198,106 @@ let () =
     |> List.sort compare
   in
   let errors = ref (List.length missing) in
-  (* parse once; share the AST between the intra and project passes *)
-  let parsed =
-    List.filter_map
-      (fun f ->
-        match Lint.parse_implementation f with
-        | str -> Some (f, f, str)
-        | exception Syntaxerr.Error _ ->
-          incr errors;
-          Printf.eprintf "mutps_lint: %s: syntax error\n%!" f;
-          None
-        | exception Sys_error m ->
-          incr errors;
-          Printf.eprintf "mutps_lint: %s\n%!" m;
-          None)
-      files
+  let world =
+    World.make
+      (List.filter_map
+         (fun f ->
+           match World.parse_implementation f with
+           | str -> Some (f, f, str)
+           | exception Syntaxerr.Error _ ->
+             incr errors;
+             Printf.eprintf "mutps_lint: %s: syntax error\n%!" f;
+             None
+           | exception Sys_error m ->
+             incr errors;
+             Printf.eprintf "mutps_lint: %s\n%!" m;
+             None)
+         files)
   in
-  (* suppression accounting: every [@lint.allow] that actually covered a
-     would-be finding, by rule *)
-  let r_suppressed = ref [] in
-  let on_suppressed ~rule ~loc:(_ : Location.t) =
-    r_suppressed := (rule, ()) :: !r_suppressed
-  in
-  (* one registry shared across the intra, interprocedural and domain
-     passes: [@lint.allow]/[@dom.allow] use counters accumulate so a
-     site is stale only if no pass consumed it *)
-  let registry = Lint.new_allow_registry () in
-  let intra =
-    List.concat_map
-      (fun (file, rule_path, str) ->
-        Lint.check_structure ~file ~rule_path ~intra_r3:!intra_only
-          ~on_suppressed ~registry str)
-      parsed
-  in
-  let interp =
-    if !intra_only then []
-    else Interp.check_project ~on_suppressed ~registry parsed
-  in
-  let alloc = if !intra_only then None else Some (Alloc.check_project parsed) in
-  let alloc_findings =
-    match alloc with Some a -> a.Alloc.findings | None -> []
-  in
-  let dom =
-    if !intra_only then None else Some (Dom.check_project ~registry parsed)
-  in
-  let dom_findings = match dom with Some d -> d.Dom.findings | None -> [] in
-  (match (!lock_graph, dom) with
-  | Some file, Some d ->
-    let oc = open_out file in
-    output_string oc (Dom.Lockgraph.to_dot d.Dom.graph);
-    close_out oc
-  | Some _, None ->
-    prerr_endline "mutps_lint: --lock-graph needs the project passes \
-                   (drop --intra-only)"
-  | None, _ -> ());
+  let r = Lint.check_project world in
+  let alloc = Alloc.check_project world in
+  let dom = Dom.check_project world in
+  Option.iter
+    (fun file ->
+      Out_channel.with_open_bin file (fun oc ->
+          output_string oc (Dom.Lockgraph.to_dot dom.Dom.graph)))
+    !lock_graph;
   let findings =
-    List.sort Lint.compare_finding
-      (intra @ interp @ alloc_findings @ dom_findings)
+    List.sort World.compare_finding (r @ alloc.Alloc.findings @ dom.Dom.findings)
   in
-  let lint_sites = Lint.allow_sites registry in
+  (* suppression accounting: every site of the world's registry, by
+     attribute *)
+  let sites attrs = World.allow_sites world.registry attrs in
+  let lint_sites = sites [ "lint.allow"; "dom.allow" ]
+  and alloc_sites = sites [ "alloc.allow" ]
+  and dom_sites = sites [ "dom.allow" ] in
+  let absorbed sites = List.concat_map (fun (s : World.allow_site) -> s.as_rules) sites in
+  let r_suppressed = absorbed (sites [ "lint.allow" ]) in
   (match !format with
   | `Json ->
-    print_json findings ~r_suppressed:!r_suppressed ~alloc ~dom ~lint_sites
-  | `Text ->
-    List.iter (fun f -> print_endline (Lint.finding_to_string f)) findings);
-  (* per-family suppression summary + stale [@alloc.allow] report, on
-     stderr so it shows in CI logs without disturbing the parseable
-     stdout *)
-  let r_total = List.length !r_suppressed in
-  let a_used, a_sites, a_stale =
-    match alloc with
-    | None -> (0, 0, [])
-    | Some a ->
-      ( List.fold_left
-          (fun acc (s : Alloc.allow_site) -> acc + s.Alloc.al_uses)
-          0 a.Alloc.allow_sites,
-        List.length a.Alloc.allow_sites,
-        List.filter
-          (fun (s : Alloc.allow_site) -> s.Alloc.al_uses = 0)
-          a.Alloc.allow_sites )
-  in
-  let d_total = match dom with Some d -> d.Dom.suppressed | None -> 0 in
-  let d_sites =
-    match dom with Some d -> List.length d.Dom.allow_sites | None -> 0
-  in
+    print_json findings ~r_suppressed ~alloc ~alloc_sites ~dom ~dom_sites
+      ~lint_sites
+  | `Text -> List.iter (fun f -> print_endline (World.finding_to_string f)) findings);
+  (* per-family suppression summary and stale-site report, on stderr so it
+     shows in CI logs without disturbing the parseable stdout *)
+  let r_total = List.length r_suppressed
+  and a_used = List.length (absorbed alloc_sites)
+  and a_sites = List.length alloc_sites
+  and d_total = List.length (absorbed dom_sites)
+  and d_sites = List.length dom_sites in
   if r_total > 0 || a_sites > 0 || d_sites > 0 then
     Printf.eprintf
       "mutps_lint: suppressions: R-family %d ([@lint.allow]), A-family %d \
        finding%s across %d [@alloc.allow] site%s, D-family %d finding%s \
        across %d [@dom.allow] site%s\n"
-      r_total a_used
-      (if a_used = 1 then "" else "s")
-      a_sites
-      (if a_sites = 1 then "" else "s")
-      d_total
-      (if d_total = 1 then "" else "s")
-      d_sites
-      (if d_sites = 1 then "" else "s");
-  (* stale-suppression report: all three attribute families *)
-  let registry_stale = Lint.stale_allow_sites registry in
+      r_total a_used (plural a_used) a_sites (plural a_sites) d_total
+      (plural d_total) d_sites (plural d_sites);
+  let stale =
+    List.filter (fun s -> World.uses s = 0) (lint_sites @ alloc_sites)
+  in
   List.iter
-    (fun (s : Lint.allow_site) ->
+    (fun (s : World.allow_site) ->
       Printf.eprintf
         "mutps_lint: stale [@%s] at %s:%d (%S) — covers no finding, delete \
          it\n"
-        s.Lint.as_attr s.Lint.as_file s.Lint.as_line s.Lint.as_payload)
-    registry_stale;
-  List.iter
-    (fun (s : Alloc.allow_site) ->
-      Printf.eprintf
-        "mutps_lint: stale [@alloc.allow] at %s:%d (%S) — covers no \
-         finding, delete it\n"
-        s.Alloc.al_file s.Alloc.al_line s.Alloc.al_reason)
-    a_stale;
-  let n_stale = List.length registry_stale + List.length a_stale in
+        s.as_attr s.as_file s.as_line s.as_payload)
+    stale;
+  let n_stale = List.length stale in
   if !strict_suppressions && n_stale > 0 then begin
     Printf.eprintf
       "mutps_lint: --strict-suppressions: %d stale suppression site%s\n"
-      n_stale
-      (if n_stale = 1 then "" else "s");
+      n_stale (plural n_stale);
     exit 1
   end;
   let n = List.length findings in
   if n > 0 || !errors > 0 then begin
     Printf.eprintf "mutps_lint: %d finding%s, %d error%s in %d files\n" n
-      (if n = 1 then "" else "s")
-      !errors
-      (if !errors = 1 then "" else "s")
-      (List.length files);
+      (plural n) !errors (plural !errors) (List.length files);
     exit 1
   end
   else if !format = `Text then begin
     Printf.printf
       "mutps_lint: clean (%d files, rules R1-R4 + interprocedural)\n"
       (List.length files);
-    (match alloc with
-    | Some a ->
-      Printf.printf
-        "mutps_alloc: %d hot root%s, %d function%s certified zero-alloc, %d \
-         [@alloc.allow] suppression%s\n"
-        (List.length a.Alloc.hot_roots)
-        (if List.length a.Alloc.hot_roots = 1 then "" else "s")
-        (List.length a.Alloc.hot_set)
-        (if List.length a.Alloc.hot_set = 1 then "" else "s")
-        a_sites
-        (if a_sites = 1 then "" else "s")
-    | None -> ());
-    match dom with
-    | Some d ->
-      let flagged =
-        List.length
-          (List.filter
-             (fun (g : Dom.global) -> g.Dom.g_status = Dom.S_flagged)
-             d.Dom.globals)
-      in
-      Printf.printf
-        "mutps_dom: %d module-level mutable/sync binding%s certified (%d \
-         flagged), %d lock%s, %d lock-order cycle%s, %d [@dom.allow] \
-         suppression%s\n"
-        (List.length d.Dom.globals)
-        (if List.length d.Dom.globals = 1 then "" else "s")
-        flagged
-        (List.length (Dom.Lockgraph.nodes d.Dom.graph))
-        (if List.length (Dom.Lockgraph.nodes d.Dom.graph) = 1 then "" else "s")
-        (List.length (Dom.Lockgraph.cycles d.Dom.graph))
-        (if List.length (Dom.Lockgraph.cycles d.Dom.graph) = 1 then ""
-         else "s")
-        d_sites
-        (if d_sites = 1 then "" else "s")
-    | None -> ()
+    let roots = List.length alloc.Alloc.hot_roots
+    and certified = List.length alloc.Alloc.hot_set in
+    Printf.printf
+      "mutps_alloc: %d hot root%s, %d function%s certified zero-alloc, %d \
+       [@alloc.allow] suppression%s\n"
+      roots (plural roots) certified (plural certified) a_sites (plural a_sites);
+    let g = dom.Dom.graph in
+    let globals = List.length dom.Dom.globals
+    and flagged =
+      List.length
+        (List.filter
+           (fun (g : Dom.global) -> g.Dom.g_status = Dom.S_flagged)
+           dom.Dom.globals)
+    and locks = List.length (Dom.Lockgraph.nodes g)
+    and cycles = List.length (Dom.Lockgraph.cycles g) in
+    Printf.printf
+      "mutps_dom: %d module-level mutable/sync binding%s certified (%d \
+       flagged), %d lock%s, %d lock-order cycle%s, %d [@dom.allow] \
+       suppression%s\n"
+      globals (plural globals) flagged locks (plural locks) cycles
+      (plural cycles) d_sites (plural d_sites)
   end

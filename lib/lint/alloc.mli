@@ -28,33 +28,21 @@
       the [None] path.
 
     Anything else must be annotated
-    [(e [@alloc.allow "reason"])] at the covering expression; suppressions
-    are counted so stale ones surface (see {!result.allow_sites}).
+    [(e [@alloc.allow "reason"])] at the covering expression; the sites
+    join the world's suppression registry, so stale ones surface.
 
-    The analysis walks the Parsetree (same substrate as {!Lint} and
-    {!Interp}), so it is syntactic: calls through closures and record
-    fields are trusted opaque, and unqualified unresolved names are
-    assumed local and safe.  The companion runtime test
-    (test/sim, [Gc.minor_words] delta over an event churn) backstops the
-    approximation. *)
-
-type allow_site = {
-  al_file : string;
-  al_line : int;
-  al_reason : string;
-  mutable al_uses : int;  (** findings suppressed by this attribute *)
-}
+    The analysis walks the Parsetree (same substrate as {!Lint}), so it is
+    syntactic: calls through closures and record fields are trusted
+    opaque, and unqualified unresolved names are assumed local and safe.
+    The companion runtime test (test/sim, [Gc.minor_words] delta over an
+    event churn) backstops the approximation. *)
 
 type result = {
-  findings : Lint.finding list;  (** rules "A1" | "A2" | "A3", sorted *)
+  findings : World.finding list;  (** rules "A1" | "A2" | "A3", sorted *)
   hot_roots : string list;  (** keys of [\[@hot\]]-annotated bindings *)
   hot_set : string list;  (** every function certified (roots + reachable) *)
-  allow_sites : allow_site list;
-      (** every [\[@alloc.allow\]] in the world, with use counts; a site
-          with [al_uses = 0] is stale *)
 }
 
-val check_project : (string * string * Parsetree.structure) list -> result
-(** [check_project sources] takes [(file, rule_path, ast)] triples — the
-    same closed world as {!Interp.check_project} — and certifies the hot
-    set. *)
+val check_project : World.t -> result
+(** Certifies the hot set of a world.  [[\@alloc.allow]] sites are
+    charged in the world's registry. *)

@@ -5,8 +5,8 @@
    (lib/experiments/runner.ml, [Domain.spawn] per job) and the ambient
    engine factories it inherits (DLS).  The future native backend
    (ROADMAP #2) will cross domains everywhere.  This pass certifies, over
-   the same closed Parsetree world as {!Interp}, the contract that makes
-   that safe:
+   the shared closed world ({!World}), the contract that makes that
+   safe:
 
    D1  every module-level mutable value (ref, Hashtbl, Buffer, array,
        record with mutable fields, ...) must be one of
@@ -46,7 +46,7 @@
    built over everything.  Any finding can be suppressed with
    [[@dom.allow "reason"]] at the expression, [[@@dom.allow "reason"]]
    at the binding, or [[@@@dom.allow "reason"]] for the rest of the
-   file; sites register in the shared {!Lint.allow_registry} so stale
+   file; sites join the world's suppression registry so stale
    suppressions are reported alongside the lint and alloc families.
 
    Approximations (all in the conservative direction or documented):
@@ -57,7 +57,7 @@
    (the two in-tree instances are mutex-guarded and D1-checked). *)
 
 module SS = Set.Make (String)
-open Lint.Internal
+open World
 
 (* ------------------------------------------------------------------ *)
 (* Lock-order graph                                                    *)
@@ -239,22 +239,8 @@ let is_perform p = matches "perform" p || matches "Effect.perform" p
 (* World facts: mutable record fields, globals                         *)
 (* ------------------------------------------------------------------ *)
 
-let module_name_of_file file =
-  String.capitalize_ascii Filename.(remove_extension (basename file))
-
 let in_reported_dir rule_path =
-  let in_dir dir =
-    let pre = dir ^ "/" and mid = "/" ^ dir ^ "/" in
-    let starts p s =
-      String.length s >= String.length p && String.sub s 0 (String.length p) = p
-    in
-    let rec contains i =
-      i + String.length mid <= String.length rule_path
-      && (String.sub rule_path i (String.length mid) = mid || contains (i + 1))
-    in
-    starts pre rule_path || contains 0
-  in
-  not (in_dir "bin" || in_dir "bench" || in_dir "examples")
+  not (List.exists (fun d -> in_dir d rule_path) [ "bin"; "bench"; "examples" ])
 
 (* Every record type in the world contributes its mutable field names;
    a type with at least one mutable field counts as instance-local
@@ -351,24 +337,6 @@ type global = {
   mutable g_status : status;
 }
 
-type gindex = {
-  g_by_key : (string, global) Hashtbl.t;
-  g_by_short : (string * string, global) Hashtbl.t;
-  g_keys : string list;
-}
-
-let resolve_in ~by_key ~by_short ~keys ~file path =
-  if path = "" then None
-  else if not (String.contains path '.') then
-    Hashtbl.find_opt by_short (file, path)
-  else
-    match Hashtbl.find_opt by_key path with
-    | Some g -> Some g
-    | None -> (
-      match List.filter (fun k -> matches k path) keys with
-      | [ k ] -> Hashtbl.find_opt by_key k
-      | _ -> None)
-
 (* ------------------------------------------------------------------ *)
 (* Per-binding extraction                                              *)
 (* ------------------------------------------------------------------ *)
@@ -382,7 +350,7 @@ type mention = {
   m_write : bool;
   m_held : SS.t;
   m_init : bool;  (** depth-zero code of an immediate binding *)
-  m_allow : Lint.allow_site option;
+  m_allow : allow_site option;
 }
 
 type cap = {
@@ -394,7 +362,7 @@ type cap = {
   c_loc : Location.t;
   c_write : bool;
   c_held : SS.t;
-  c_allow : Lint.allow_site option;
+  c_allow : allow_site option;
 }
 
 type dcall = {
@@ -406,7 +374,7 @@ type dcall = {
   dc_held : SS.t;
   dc_spawn : bool;
   dc_handled : bool;
-  dc_allow : Lint.allow_site option;
+  dc_allow : allow_site option;
 }
 
 type acq = {
@@ -424,18 +392,15 @@ type pf = {
   pf_loc : Location.t;
   pf_spawn : bool;
   pf_handled : bool;
-  pf_allow : Lint.allow_site option;
+  pf_allow : allow_site option;
 }
 
-type dfn = { d_key : string; d_file : string }
-
-type world = {
+type facts = {
   mutable mentions : mention list;
   mutable caps : cap list;
   mutable dcalls : dcall list;
   mutable acqs : acq list;
   mutable performs : pf list;
-  mutable fns : dfn list;
 }
 
 type wctx = {
@@ -443,36 +408,27 @@ type wctx = {
   spawn : bool;
   handled : bool;
   depth : int;
-  allow : Lint.allow_site option;
+  allow : allow_site option;
 }
-
-let dom_allow_site registry ~file (a : Parsetree.attribute) =
-  Lint.register_allow registry ~attr:"dom.allow" ~file
-    ~line:a.attr_loc.Location.loc_start.pos_lnum
-    ~payload:(Option.value (payload_string a.attr_payload) ~default:"")
 
 let dom_allow_of_attrs registry ~file (attrs : Parsetree.attributes) =
   List.find_map
     (fun (a : Parsetree.attribute) ->
-      if a.attr_name.txt = "dom.allow" then
-        Some (dom_allow_site registry ~file a)
+      if a.attr_name.txt = "dom.allow" then Some (register registry ~file a)
       else None)
     attrs
 
 (* Walk one top-level binding's body.  [immediate] marks a binding whose
    RHS is not a function: its depth-zero code runs at module
    initialization, which happens-before any spawn. *)
-let walk_binding ~world ~gidx ~mutable_fields ~registry ~fn_key ~file
+let walk_binding ~facts ~gidx ~mutable_fields ~registry ~fn_key ~file
     ~rule_path ~immediate ~allow0 (rhs : Parsetree.expression) =
   let spawn_visited = ref SS.empty in
   let local_muts : (string, string) Hashtbl.t = Hashtbl.create 8 in
   let local_lams : (string, Parsetree.expression) Hashtbl.t =
     Hashtbl.create 8
   in
-  let resolve_global p =
-    resolve_in ~by_key:gidx.g_by_key ~by_short:gidx.g_by_short
-      ~keys:gidx.g_keys ~file p
-  in
+  let resolve_global p = resolve gidx ~file p in
   (* Identity of a lock expression: a resolvable global mutex keeps its
      key; a local name is scoped to the enclosing binding; a record
      field keeps its field name (all instances of a per-instance lock
@@ -498,7 +454,7 @@ let walk_binding ~world ~gidx ~mutable_fields ~registry ~fn_key ~file
     let p = strip_stdlib p in
     match resolve_global p with
     | Some g when (match g.g_kind with Mut _ -> true | _ -> false) ->
-      world.mentions <-
+      facts.mentions <-
         {
           m_global = g.g_key;
           m_fn = fn_key;
@@ -510,12 +466,12 @@ let walk_binding ~world ~gidx ~mutable_fields ~registry ~fn_key ~file
           m_init = immediate && ctx.depth = 0 && not ctx.spawn;
           m_allow = ctx.allow;
         }
-        :: world.mentions
+        :: facts.mentions
     | _ -> (
       if not (String.contains p '.') then
         match Hashtbl.find_opt local_muts p with
         | Some what when ctx.spawn ->
-          world.caps <-
+          facts.caps <-
             {
               c_name = p;
               c_what = what;
@@ -527,7 +483,7 @@ let walk_binding ~world ~gidx ~mutable_fields ~registry ~fn_key ~file
               c_held = ctx.held;
               c_allow = ctx.allow;
             }
-            :: world.caps
+            :: facts.caps
         | _ -> ())
   in
   let rec walk ctx (e : Parsetree.expression) : SS.t =
@@ -552,16 +508,13 @@ let walk_binding ~world ~gidx ~mutable_fields ~registry ~fn_key ~file
           ignore (walk { ctx with depth = ctx.depth + 1 } c.pc_rhs))
         cases;
       ctx.held
-    | Pexp_apply ({ pexp_desc = Pexp_ident { txt; loc }; _ }, args) -> (
-      let p = strip_stdlib (path_of_lid txt) in
-      match (p, args) with
-      | "@@", [ (_, l); (_, r) ] -> walk_infix ctx l r
-      | "|>", [ (_, l); (_, r) ] -> walk_infix ctx r l
-      | _ -> walk_app ctx loc p args)
-    | Pexp_apply (f, args) ->
-      ignore (walk ctx f);
-      List.iter (fun (_, a) -> ignore (walk ctx a)) args;
-      ctx.held
+    | Pexp_apply (f, args) -> (
+      match call_shape f args with
+      | `Call (p, loc, args) -> walk_app ctx loc p args
+      | `Opaque (f, args) ->
+        ignore (walk ctx f);
+        List.iter (fun (_, a) -> ignore (walk ctx a)) args;
+        ctx.held)
     | Pexp_let (_, vbs, body) ->
       let held =
         List.fold_left
@@ -616,19 +569,6 @@ let walk_binding ~world ~gidx ~mutable_fields ~registry ~fn_key ~file
       in
       Ast_iterator.default_iterator.expr it e;
       ctx.held
-  and walk_infix ctx f_expr arg =
-    match f_expr.Parsetree.pexp_desc with
-    | Pexp_apply ({ pexp_desc = Pexp_ident { txt; loc }; _ }, fargs) ->
-      walk_app ctx loc
-        (strip_stdlib (path_of_lid txt))
-        (fargs @ [ (Asttypes.Nolabel, arg) ])
-    | Pexp_ident { txt; loc } ->
-      walk_app ctx loc
-        (strip_stdlib (path_of_lid txt))
-        [ (Asttypes.Nolabel, arg) ]
-    | _ ->
-      let held = walk ctx f_expr in
-      walk { ctx with held } arg
   and walk_app ctx (loc : Location.t) p args : SS.t =
     let nolabel =
       List.filter_map
@@ -640,10 +580,10 @@ let walk_binding ~world ~gidx ~mutable_fields ~registry ~fn_key ~file
       match nolabel with
       | [ l ] ->
         let lid = lock_id l in
-        world.acqs <-
+        facts.acqs <-
           { aq_lock = lid; aq_fn = fn_key; aq_file = file; aq_loc = loc;
             aq_held = ctx.held }
-          :: world.acqs;
+          :: facts.acqs;
         SS.add lid ctx.held
       | _ -> ctx.held)
     else if matches "Mutex.unlock" p then (
@@ -654,10 +594,10 @@ let walk_binding ~world ~gidx ~mutable_fields ~registry ~fn_key ~file
       match nolabel with
       | l :: rest ->
         let lid = lock_id l in
-        world.acqs <-
+        facts.acqs <-
           { aq_lock = lid; aq_fn = fn_key; aq_file = file; aq_loc = loc;
             aq_held = ctx.held }
-          :: world.acqs;
+          :: facts.acqs;
         let inner = { ctx with held = SS.add lid ctx.held } in
         List.iter (fun a -> ignore (walk inner a)) rest;
         ctx.held
@@ -676,7 +616,7 @@ let walk_binding ~world ~gidx ~mutable_fields ~registry ~fn_key ~file
       ctx.held
     end
     else if is_perform p then begin
-      world.performs <-
+      facts.performs <-
         {
           pf_fn = fn_key;
           pf_file = file;
@@ -686,7 +626,7 @@ let walk_binding ~world ~gidx ~mutable_fields ~registry ~fn_key ~file
           pf_handled = ctx.handled;
           pf_allow = ctx.allow;
         }
-        :: world.performs;
+        :: facts.performs;
       List.iter (fun (_, a) -> ignore (walk ctx a)) args;
       ctx.held
     end
@@ -723,7 +663,7 @@ let walk_binding ~world ~gidx ~mutable_fields ~registry ~fn_key ~file
       ctx.held
     end
   and record_call ctx loc p =
-    world.dcalls <-
+    facts.dcalls <-
       {
         dc_path = p;
         dc_fn = fn_key;
@@ -735,17 +675,9 @@ let walk_binding ~world ~gidx ~mutable_fields ~registry ~fn_key ~file
         dc_handled = ctx.handled;
         dc_allow = ctx.allow;
       }
-      :: world.dcalls
+      :: facts.dcalls
   and inline_lam ctx (lam : Parsetree.expression) =
-    let rec strip (e : Parsetree.expression) =
-      match e.pexp_desc with
-      | Pexp_fun (_, d, _, b) ->
-        Option.iter (fun d -> ignore (walk ctx d)) d;
-        strip b
-      | Pexp_newtype (_, b) | Pexp_constraint (b, _) -> strip b
-      | _ -> ignore (walk ctx e)
-    in
-    strip lam
+    ignore (walk ctx (strip_params ~default:(fun d -> ignore (walk ctx d)) lam))
   and spawn_walk ctx loc (closure : Parsetree.expression) =
     let inner =
       { ctx with spawn = true; handled = false; depth = ctx.depth + 1 }
@@ -763,74 +695,20 @@ let walk_binding ~world ~gidx ~mutable_fields ~registry ~fn_key ~file
       else record_call inner loc p)
     | _ -> ignore (walk inner closure)
   in
-  world.fns <- { d_key = fn_key; d_file = file } :: world.fns;
-  let rec strip_params (e : Parsetree.expression) =
-    match e.Parsetree.pexp_desc with
-    | Pexp_fun (_, default, _, body) ->
-      Option.iter
-        (fun d ->
-          ignore
-            (walk
-               { held = SS.empty; spawn = false; handled = false; depth = 0;
-                 allow = allow0 }
-               d))
-        default;
-      strip_params body
-    | Pexp_newtype (_, body) | Pexp_constraint (body, _) -> strip_params body
-    | _ ->
-      ignore
-        (walk
-           { held = SS.empty; spawn = false; handled = false; depth = 0;
-             allow = allow0 }
-           e)
-  in
-  strip_params rhs
+  inline_lam
+    { held = SS.empty; spawn = false; handled = false; depth = 0; allow = allow0 }
+    rhs
 
 (* ------------------------------------------------------------------ *)
 (* The analysis                                                        *)
 (* ------------------------------------------------------------------ *)
 
 type result = {
-  findings : Lint.finding list;
+  findings : finding list;
   globals : global list;  (** every module-level mutable/sync binding *)
   mutable_types : int;  (** record types with mutable fields (instance-local) *)
-  suppressed : int;  (** findings covered by [@dom.allow] *)
   graph : Lockgraph.t;
-  allow_sites : Lint.allow_site list;  (** [@dom.allow] sites, file order *)
 }
-
-(* Iterate the top-level bindings of one file (including nested
-   [module X = struct ... end]), tracking [@@@dom.allow] file scope. *)
-let fold_bindings ~registry ~file str f =
-  let rec items ~prefix ~file_allow str =
-    let fa = ref file_allow in
-    List.iter
-      (fun (si : Parsetree.structure_item) ->
-        match si.pstr_desc with
-        | Pstr_attribute a when a.attr_name.txt = "dom.allow" ->
-          fa := Some (dom_allow_site registry ~file a)
-        | Pstr_value (_, vbs) ->
-          List.iter (fun vb -> f ~prefix ~file_allow:!fa vb) vbs
-        | Pstr_module
-            {
-              pmb_name = { txt = Some sub; _ };
-              pmb_expr = { pmod_desc = Pmod_structure s; _ };
-              _;
-            } ->
-          items ~prefix:(prefix ^ sub ^ ".") ~file_allow:!fa s
-        | _ -> ())
-      str
-  in
-  items ~prefix:(module_name_of_file file ^ ".") ~file_allow:None str
-
-let binding_name anon (vb : Parsetree.value_binding) =
-  match vb.pvb_pat.ppat_desc with
-  | Ppat_var { txt; _ }
-  | Ppat_constraint ({ ppat_desc = Ppat_var { txt; _ }; _ }, _) ->
-    txt
-  | _ ->
-    incr anon;
-    Printf.sprintf "<toplevel:%d>" !anon
 
 let rec is_function_rhs (e : Parsetree.expression) =
   match e.pexp_desc with
@@ -838,129 +716,60 @@ let rec is_function_rhs (e : Parsetree.expression) =
   | Pexp_constraint (e, _) | Pexp_newtype (_, e) -> is_function_rhs e
   | _ -> false
 
-let check_project ?registry
-    (sources : (string * string * Parsetree.structure) list) =
-  let registry =
-    match registry with Some r -> r | None -> Lint.new_allow_registry ()
-  in
-  let mutable_fields, mutable_types = collect_type_facts sources in
+let check_project (w : World.t) =
+  let registry = w.registry in
+  let mutable_fields, mutable_types = collect_type_facts w.sources in
+  (* every [@@@dom.allow] is a site, whether or not a binding follows *)
+  List.iter
+    (fun (file, (a : Parsetree.attribute)) ->
+      if a.attr_name.txt = "dom.allow" then ignore (register registry ~file a))
+    w.floating;
   (* pass 1: classify module-level bindings *)
-  let globals = ref [] in
-  List.iter
-    (fun (file, _rule_path, str) ->
-      let anon = ref 0 in
-      fold_bindings ~registry ~file str
-        (fun ~prefix ~file_allow:_ (vb : Parsetree.value_binding) ->
-          let name = binding_name anon vb in
-          match classify_rhs ~mutable_fields vb.pvb_expr with
-          | Imm -> ()
-          | Sync k ->
-            globals :=
-              {
-                g_key = prefix ^ name;
-                g_file = file;
-                g_line = vb.pvb_loc.Location.loc_start.pos_lnum;
-                g_what = k;
-                g_kind = Sync k;
-                g_status = S_sync k;
-              }
-              :: !globals
-          | Mut w ->
-            globals :=
-              {
-                g_key = prefix ^ name;
-                g_file = file;
-                g_line = vb.pvb_loc.Location.loc_start.pos_lnum;
-                g_what = w;
-                g_kind = Mut w;
-                g_status = S_frozen;
-              }
-              :: !globals))
-    sources;
   let globals =
-    List.sort (fun a b -> compare (a.g_file, a.g_line) (b.g_file, b.g_line))
-      !globals
-  in
-  let gidx =
-    let g_by_key = Hashtbl.create 64 and g_by_short = Hashtbl.create 64 in
-    let keys = ref [] in
-    List.iter
-      (fun g ->
-        if not (Hashtbl.mem g_by_key g.g_key) then begin
-          Hashtbl.replace g_by_key g.g_key g;
-          keys := g.g_key :: !keys
-        end;
-        let short =
-          match String.rindex_opt g.g_key '.' with
-          | Some i -> String.sub g.g_key (i + 1) (String.length g.g_key - i - 1)
-          | None -> g.g_key
+    List.filter_map
+      (fun (b : binding) ->
+        let global what kind status =
+          Some
+            {
+              g_key = b.b_key;
+              g_file = b.b_file;
+              g_line = b.b_vb.pvb_loc.loc_start.pos_lnum;
+              g_what = what;
+              g_kind = kind;
+              g_status = status;
+            }
         in
-        Hashtbl.replace g_by_short (g.g_file, short) g)
-      globals;
-    { g_by_key; g_by_short; g_keys = List.rev !keys }
+        match classify_rhs ~mutable_fields b.b_vb.pvb_expr with
+        | Imm -> None
+        | Sync k -> global k (Sync k) (S_sync k)
+        | Mut what -> global what (Mut what) S_frozen)
+      w.bindings
+    |> List.rev
+    |> List.sort (fun a b -> compare (a.g_file, a.g_line) (b.g_file, b.g_line))
   in
+  let gidx = index ~key:(fun g -> g.g_key) ~file:(fun g -> g.g_file) globals in
   (* pass 2: walk every binding body *)
-  let world =
-    { mentions = []; caps = []; dcalls = []; acqs = []; performs = [];
-      fns = [] }
-  in
+  let facts = { mentions = []; caps = []; dcalls = []; acqs = []; performs = [] } in
   List.iter
-    (fun (file, rule_path, str) ->
-      let anon = ref 0 in
-      fold_bindings ~registry ~file str
-        (fun ~prefix ~file_allow (vb : Parsetree.value_binding) ->
-          let name = binding_name anon vb in
-          let allow0 =
-            match
-              dom_allow_of_attrs registry ~file vb.pvb_attributes
-            with
-            | Some s -> Some s
-            | None -> file_allow
-          in
-          walk_binding ~world ~gidx ~mutable_fields ~registry
-            ~fn_key:(prefix ^ name) ~file ~rule_path
-            ~immediate:(not (is_function_rhs vb.pvb_expr))
-            ~allow0 vb.pvb_expr))
-    sources;
-  (* function index, for resolving recorded calls *)
-  let fidx_by_key = Hashtbl.create 256 and fidx_by_short = Hashtbl.create 256 in
-  let fidx_keys = ref [] in
-  List.iter
-    (fun (f : dfn) ->
-      if not (Hashtbl.mem fidx_by_key f.d_key) then begin
-        Hashtbl.replace fidx_by_key f.d_key f;
-        fidx_keys := f.d_key :: !fidx_keys
-      end;
-      let short =
-        match String.rindex_opt f.d_key '.' with
-        | Some i -> String.sub f.d_key (i + 1) (String.length f.d_key - i - 1)
-        | None -> f.d_key
+    (fun (b : binding) ->
+      let allow0 =
+        match dom_allow_of_attrs registry ~file:b.b_file b.b_vb.pvb_attributes with
+        | Some s -> Some s
+        | None -> dom_allow_of_attrs registry ~file:b.b_file b.b_floating
       in
-      Hashtbl.replace fidx_by_short (f.d_file, short) f)
-    world.fns;
+      walk_binding ~facts ~gidx ~mutable_fields ~registry ~fn_key:b.b_key
+        ~file:b.b_file ~rule_path:b.b_rule
+        ~immediate:(not (is_function_rhs b.b_vb.pvb_expr))
+        ~allow0 b.b_vb.pvb_expr)
+    w.bindings;
   let resolve_fn ~file p =
-    resolve_in ~by_key:fidx_by_key ~by_short:fidx_by_short
-      ~keys:(List.rev !fidx_keys) ~file p
+    Option.map (fun (g : binding) -> g.b_key) (resolve w.fns ~file p)
   in
-  (* findings, with [@dom.allow] accounting *)
-  let findings = ref [] and suppressed = ref 0 in
-  let report ?allow rule ~file ~(loc : Location.t) msg =
-    match (allow : Lint.allow_site option) with
-    | Some site ->
-      site.as_uses <- site.as_uses + 1;
-      incr suppressed
-    | None ->
-      findings :=
-        {
-          Lint.rule;
-          file;
-          line = loc.loc_start.pos_lnum;
-          col = loc.loc_start.pos_cnum - loc.loc_start.pos_bol;
-          msg;
-        }
-        :: !findings
+  let findings = ref [] in
+  let report ?allow rule ~file ~loc msg =
+    World.report findings ?allow ~rule ~file loc msg
   in
-  let mentions = List.rev world.mentions in
+  let mentions = List.rev facts.mentions in
   (* D1: judge every module-level mutable binding *)
   List.iter
     (fun g ->
@@ -1006,7 +815,7 @@ let check_project ?registry
         end)
     globals;
   (* D2: mutable locals captured by Domain.spawn closures *)
-  let caps = List.rev world.caps in
+  let caps = List.rev facts.caps in
   let cap_groups = Hashtbl.create 16 in
   List.iter
     (fun c ->
@@ -1037,28 +846,34 @@ let check_project ?registry
                       "read while another access writes it")))
           group);
   (* D3: lock-order graph, direct and interprocedural *)
-  let acqs = List.rev world.acqs in
-  let dcalls = List.rev world.dcalls in
-  let acquires = Hashtbl.create 64 in
-  let get_acq k = Option.value (Hashtbl.find_opt acquires k) ~default:SS.empty in
-  List.iter
-    (fun a -> Hashtbl.replace acquires a.aq_fn (SS.add a.aq_lock (get_acq a.aq_fn)))
-    acqs;
-  let changed = ref true in
-  while !changed do
-    changed := false;
+  let acqs = List.rev facts.acqs in
+  let dcalls =
+    List.rev_map (fun c -> (c, resolve_fn ~file:c.dc_file c.dc_path)) facts.dcalls
+  in
+  (* callers of each function, over every call or only unhandled ones *)
+  let callers ~unhandled =
+    let tbl = Hashtbl.create 64 in
     List.iter
-      (fun (c : dcall) ->
-        match resolve_fn ~file:c.dc_file c.dc_path with
-        | Some g ->
-          let mine = get_acq c.dc_fn and theirs = get_acq g.d_key in
-          if not (SS.subset theirs mine) then begin
-            Hashtbl.replace acquires c.dc_fn (SS.union mine theirs);
-            changed := true
-          end
-        | None -> ())
-      dcalls
-  done;
+      (fun ((c : dcall), g) ->
+        match g with
+        | Some g when not (unhandled && c.dc_handled) ->
+          Hashtbl.replace tbl g
+            (c.dc_fn :: Option.value (Hashtbl.find_opt tbl g) ~default:[])
+        | _ -> ())
+      dcalls;
+    fun g -> Option.value (Hashtbl.find_opt tbl g) ~default:[]
+  in
+  (* acquires(f): the locks f takes, directly or through its callees *)
+  let all_callers = callers ~unhandled:false in
+  let acquires = Hashtbl.create 64 in
+  reach
+    ~succ:(fun (f, l) -> List.map (fun c -> (c, l)) (all_callers f))
+    (List.map (fun a -> ((a.aq_fn, a.aq_lock), ())) acqs)
+  |> Hashtbl.to_seq_keys
+  |> Seq.iter (fun (f, l) ->
+         Hashtbl.replace acquires f
+           (SS.add l (Option.value (Hashtbl.find_opt acquires f) ~default:SS.empty)));
+  let get_acq k = Option.value (Hashtbl.find_opt acquires k) ~default:SS.empty in
   let graph = Lockgraph.create () in
   List.iter
     (fun a ->
@@ -1070,9 +885,9 @@ let check_project ?registry
         a.aq_held)
     acqs;
   List.iter
-    (fun (c : dcall) ->
+    (fun ((c : dcall), g) ->
       if not (SS.is_empty c.dc_held) then
-        match resolve_fn ~file:c.dc_file c.dc_path with
+        match g with
         | Some g ->
           SS.iter
             (fun h ->
@@ -1080,7 +895,7 @@ let check_project ?registry
                 (fun l ->
                   Lockgraph.add_edge graph ~src:h ~dst:l ~file:c.dc_file
                     ~line:c.dc_loc.Location.loc_start.pos_lnum)
-                (get_acq g.d_key))
+                (get_acq g))
             c.dc_held
         | None -> ())
     dcalls;
@@ -1099,7 +914,7 @@ let check_project ?registry
       in
       findings :=
         {
-          Lint.rule = "D3";
+          rule = "D3";
           file;
           line;
           col = 0;
@@ -1112,24 +927,13 @@ let check_project ?registry
         :: !findings)
     (Lockgraph.cycles graph);
   (* D4: performs must stay under their handler's domain *)
-  let performs = List.rev world.performs in
-  let performers = Hashtbl.create 32 in
-  List.iter
-    (fun p -> if not p.pf_handled then Hashtbl.replace performers p.pf_fn ())
-    performs;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun (c : dcall) ->
-        if not (c.dc_handled || Hashtbl.mem performers c.dc_fn) then
-          match resolve_fn ~file:c.dc_file c.dc_path with
-          | Some g when Hashtbl.mem performers g.d_key ->
-            Hashtbl.replace performers c.dc_fn ();
-            changed := true
-          | _ -> ())
-      dcalls
-  done;
+  let performs = List.rev facts.performs in
+  let performers =
+    reach ~succ:(callers ~unhandled:true)
+      (List.filter_map
+         (fun p -> if p.pf_handled then None else Some (p.pf_fn, ()))
+         performs)
+  in
   List.iter
     (fun p ->
       if p.pf_spawn && (not p.pf_handled) && in_reported_dir p.pf_rule then
@@ -1142,27 +946,22 @@ let check_project ?registry
              p.pf_fn))
     performs;
   List.iter
-    (fun (c : dcall) ->
+    (fun ((c : dcall), g) ->
       if c.dc_spawn && (not c.dc_handled) && in_reported_dir c.dc_rule then
-        match resolve_fn ~file:c.dc_file c.dc_path with
-        | Some g when Hashtbl.mem performers g.d_key ->
+        match g with
+        | Some g when Hashtbl.mem performers g ->
           report ?allow:c.dc_allow "D4" ~file:c.dc_file ~loc:c.dc_loc
             (Printf.sprintf
                "call to %s inside a Domain.spawn closure in %s reaches an \
                 effect perform with no handler on the spawned domain; \
                 wrap the computation in Simthread.spawn (or another \
                 handler) before it performs"
-               g.d_key c.dc_fn)
+               g c.dc_fn)
         | _ -> ())
     dcalls;
   {
-    findings = List.sort_uniq Lint.compare_finding !findings;
+    findings = List.sort_uniq compare_finding !findings;
     globals;
     mutable_types;
-    suppressed = !suppressed;
     graph;
-    allow_sites =
-      List.filter
-        (fun (s : Lint.allow_site) -> s.as_attr = "dom.allow")
-        (Lint.allow_sites registry);
   }

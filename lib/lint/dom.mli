@@ -1,7 +1,6 @@
 (** Interprocedural domain-safety & lock-order analysis (the D rules).
 
-    Certifies, over the same closed Parsetree world as {!Interp}, the
-    contract that lets code cross OCaml 5 domains — today the parallel
+    Certifies, over the shared closed world ({!World}), the contract that lets code cross OCaml 5 domains — today the parallel
     experiment runner, tomorrow the native backend (ROADMAP #2):
 
     - [D1] — every module-level mutable value must be a synchronization
@@ -26,7 +25,7 @@
     [bin/], [bench/], [examples/]); the lock graph covers everything.
     Suppress with [[\@dom.allow "reason"]] (expression),
     [[\@\@dom.allow "reason"]] (binding) or [[\@\@\@dom.allow "reason"]]
-    (rest of file); sites land in the shared {!Lint.allow_registry} for
+    (rest of file); sites land in the world's suppression registry for
     stale reporting. *)
 
 (** Static lock-order graph with first-witness edge labels. *)
@@ -72,21 +71,14 @@ type global = {
 }
 
 type result = {
-  findings : Lint.finding list;  (** sorted, deduplicated *)
+  findings : World.finding list;  (** sorted, deduplicated *)
   globals : global list;  (** every module-level mutable/sync binding *)
   mutable_types : int;
       (** record types with mutable fields — instance-local state, out of
           D1 scope *)
-  suppressed : int;  (** findings covered by [[\@dom.allow]] *)
   graph : Lockgraph.t;
-  allow_sites : Lint.allow_site list;  (** [dom.allow] sites, file order *)
 }
 
-val check_project :
-  ?registry:Lint.allow_registry ->
-  (string * string * Parsetree.structure) list ->
-  result
-(** [check_project sources] analyzes [(file, rule_path, ast)] triples as
-    one closed world.  Pass the registry shared with
-    {!Lint.check_structure} / {!Interp.check_project} so
-    [[\@dom.allow]] sites join the common stale-suppression report. *)
+val check_project : World.t -> result
+(** Analyzes a world.  [[\@dom.allow]] sites are charged in the world's
+    registry. *)

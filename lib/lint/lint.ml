@@ -1,8 +1,4 @@
-(* AST-level determinism & charge-discipline analyzer for the simulation.
-
-   Walks every implementation file with [Ast_iterator] (compiler-libs) and
-   enforces the contracts that keep the DES deterministic and every memory
-   touch charged through [Env]/[Simthread]:
+(* The R family: determinism & charge discipline for the simulation.
 
    R1  no wall-clock / ambient nondeterminism: [Sys.time], [Unix.*time*],
        [Stdlib.Random], randomized hash tables, and [Hashtbl.iter]/[fold]
@@ -10,16 +6,38 @@
        [Mutps_sim.Rng] may produce randomness.
    R2  charged memory: outside [lib/mem], CPU-side traffic must flow
        through [Env.load]/[store]/[prefetch_batch]; direct
-       [Hierarchy.load]/[store]/[prefetch_batch] calls are forbidden.
-   R3  commit discipline: reads of registered shared-mutable fields
-       (seqlock versions, ring cursors, forwarding completion fields) must
-       be lexically dominated by a commit-family call ([Env.commit],
-       [Simthread.commit]/[delay]/[yield]/[suspend], or a queue operation
-       that commits internally) in the enclosing function.
+       [Hierarchy.load]/[store]/[prefetch_batch] calls are forbidden, and
+       so are calls from [lib/] into a function that reaches such traffic
+       without passing through [lib/mem].
+   R3  commit discipline: a read of a registered shared-mutable field
+       (seqlock versions, ring cursors, forwarding completion fields) that
+       is not dominated by a commit-family call in its function is
+       reported when the function is exposed: it can be entered with
+       uncommitted cycles.
    R4  effect safety: [Simthread.delay]/[suspend]/[yield]/[commit]/[charge]
        only from code that holds a simulated-thread context (a [ctx]
        parameter, a [Simthread.spawn] callback, or an [Env.t]'s [.ctx]
        field); no [Obj.magic]; no physical (in)equality.
+
+   R1, R4 and direct R2 are judged per expression by the intra pass; R3
+   and indirect R2 by the interprocedural pass over the call graph.  Its
+   three relations are:
+
+   - [commits f] — f's body reaches a commit-family call at lambda depth
+     zero, directly or by calling a committing function (a
+     branch-insensitive, traversal-order approximation).
+   - [exposed f] — f has no syntactic call site in the world (an entry
+     point, or a function only ever passed as a closure), or some call
+     site is not commit-dominated and its caller is itself exposed.
+   - [reaches f] — f performs Hierarchy traffic outside [lib/mem],
+     directly or through calls that do not pass through [lib/mem].
+
+   Call sites are syntactic applications of resolvable names; calls
+   through closures, record fields and functors are opaque; a bare
+   (unapplied) reference to a known function marks it exposed, since the
+   closure may run anywhere.  Lambdas passed to [Env.tagged] run exactly
+   once, inline, so their bodies are analyzed at the caller's depth;
+   every other lambda saves and restores the domination state.
 
    Any finding can be suppressed at the expression with
    [[@lint.allow "R3"]], at the binding with [[@@lint.allow "R3"]], or for
@@ -28,68 +46,7 @@
    rule). *)
 
 module SS = Set.Make (String)
-
-type finding = {
-  rule : string;
-  file : string;
-  line : int;
-  col : int;
-  msg : string;
-}
-
-let pp_finding fmt f =
-  Format.fprintf fmt "%s:%d:%d: [%s] %s" f.file f.line f.col f.rule f.msg
-
-let finding_to_string f = Format.asprintf "%a" pp_finding f
-
-let compare_finding a b =
-  compare (a.file, a.line, a.col, a.rule, a.msg)
-    (b.file, b.line, b.col, b.rule, b.msg)
-
-(* ------------------------------------------------------------------ *)
-(* Suppression sites                                                   *)
-(* ------------------------------------------------------------------ *)
-
-(* Every [@lint.allow] / [@dom.allow] attribute a pass walks registers one
-   site here, keyed by (attribute, file, line) so the intra and
-   interprocedural passes — which walk the same attributes — share a
-   single use counter.  A site whose counter stays zero suppresses
-   nothing: it is stale, and [--strict-suppressions] fails on it. *)
-type allow_site = {
-  as_attr : string;  (** attribute name, e.g. "lint.allow" *)
-  as_file : string;
-  as_line : int;
-  as_payload : string;  (** raw payload text (rule list or reason) *)
-  mutable as_uses : int;
-}
-
-type allow_registry = {
-  reg_tbl : (string * string * int, allow_site) Hashtbl.t;
-  mutable reg_order : allow_site list;  (** reverse registration order *)
-}
-
-let new_allow_registry () = { reg_tbl = Hashtbl.create 32; reg_order = [] }
-
-let register_allow reg ~attr ~file ~line ~payload =
-  let key = (attr, file, line) in
-  match Hashtbl.find_opt reg.reg_tbl key with
-  | Some s -> s
-  | None ->
-    let s =
-      { as_attr = attr; as_file = file; as_line = line;
-        as_payload = payload; as_uses = 0 }
-    in
-    Hashtbl.replace reg.reg_tbl key s;
-    reg.reg_order <- s :: reg.reg_order;
-    s
-
-let allow_sites reg =
-  List.sort
-    (fun a b -> compare (a.as_file, a.as_line) (b.as_file, b.as_line))
-    reg.reg_order
-
-let stale_allow_sites reg =
-  List.filter (fun s -> s.as_uses = 0) (allow_sites reg)
+open World
 
 (* ------------------------------------------------------------------ *)
 (* Rule tables                                                         *)
@@ -106,9 +63,9 @@ let unordered_traversals = [ "Hashtbl.iter"; "Hashtbl.fold" ]
 (* R2: CPU-side hierarchy traffic that must be charged through Env. *)
 let hierarchy_traffic = [ "Hierarchy.load"; "Hierarchy.store"; "Hierarchy.prefetch_batch" ]
 
-(* R3: registered shared-mutable fields.  Reads must follow a commit in
-   the enclosing function so the reader observes other threads' effects up
-   to its own simulated time. *)
+(* R3: registered shared-mutable fields.  Reads must follow a commit so
+   the reader observes other threads' effects up to its own simulated
+   time. *)
 let shared_fields =
   [
     ("version", "Item seqlock version");
@@ -141,149 +98,50 @@ let simthread_ops =
 let forbidden_obj = [ "Obj.magic"; "Obj.repr"; "Obj.obj" ]
 
 (* ------------------------------------------------------------------ *)
-(* Helpers                                                             *)
+(* Suppressions                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let strip_stdlib p =
-  if String.length p > 7 && String.sub p 0 7 = "Stdlib." then
-    String.sub p 7 (String.length p - 7)
-  else p
-
-(* [matches "Hierarchy.load" path] accepts both the alias form
-   ("Hierarchy.load") and the fully qualified one
-   ("Mutps_mem.Hierarchy.load"). *)
-let matches target path =
-  path = target
-  || (String.length path > String.length target
-      && String.sub path
-           (String.length path - String.length target - 1)
-           (String.length target + 1)
-         = "." ^ target)
-
-let matches_any targets path = List.exists (fun t -> matches t path) targets
-
-let path_of_lid lid =
-  match Longident.flatten lid with
-  | parts -> String.concat "." parts
-  | exception _ -> ""
-
-(* Parse the payload of a [lint.allow] attribute: a string constant holding
-   space- or comma-separated rule names. *)
-let allow_of_payload (p : Parsetree.payload) =
-  match p with
-  | Parsetree.PStr
-      [
-        {
-          pstr_desc =
-            Pstr_eval
-              ({ pexp_desc = Pexp_constant (Pconst_string (s, _, _)); _ }, _);
-          _;
-        };
-      ] ->
-    String.split_on_char ' ' s
-    |> List.concat_map (String.split_on_char ',')
-    |> List.filter (fun r -> r <> "")
-    |> SS.of_list
-  | _ -> SS.empty
-
-let allow_of_attrs (attrs : Parsetree.attributes) =
-  List.fold_left
-    (fun acc (a : Parsetree.attribute) ->
-      if a.attr_name.txt = "lint.allow" then
-        SS.union acc (allow_of_payload a.attr_payload)
-      else acc)
-    SS.empty attrs
-
-(* Raw payload text, for registry bookkeeping. *)
-let payload_string (p : Parsetree.payload) =
-  match p with
-  | Parsetree.PStr
-      [
-        {
-          pstr_desc =
-            Pstr_eval
-              ({ pexp_desc = Pexp_constant (Pconst_string (s, _, _)); _ }, _);
-          _;
-        };
-      ] ->
-    Some s
-  | _ -> None
-
-(* One suppression-stack entry per [@lint.allow] attribute, each carrying
-   its registry site (when a registry is attached) for use counting. *)
-let allow_entries ?registry ~file (attrs : Parsetree.attributes) =
+(* One entry per [@lint.allow] attribute: the rules it names and its
+   registry site. *)
+let allow_entries w ~file (attrs : Parsetree.attributes) =
   List.filter_map
     (fun (a : Parsetree.attribute) ->
       if a.attr_name.txt = "lint.allow" then
-        let rules = allow_of_payload a.attr_payload in
-        let site =
-          Option.map
-            (fun reg ->
-              register_allow reg ~attr:"lint.allow" ~file
-                ~line:a.attr_loc.Location.loc_start.pos_lnum
-                ~payload:(Option.value (payload_string a.attr_payload)
-                            ~default:""))
-            registry
+        let site = register w.registry ~file a in
+        let rules =
+          String.split_on_char ' ' site.as_payload
+          |> List.concat_map (String.split_on_char ',')
         in
-        Some (rules, site)
+        Some (SS.of_list rules, site)
       else None)
     attrs
 
-(* ------------------------------------------------------------------ *)
-(* The checker                                                         *)
-(* ------------------------------------------------------------------ *)
+let covering allows rule =
+  List.find_map
+    (fun (rules, site) ->
+      if SS.mem rule rules || SS.mem "all" rules then Some site else None)
+    allows
 
-type scope = { mutable committed : bool; sim : bool }
+(* ------------------------------------------------------------------ *)
+(* The intra pass: R1, R4 and direct R2                                *)
+(* ------------------------------------------------------------------ *)
 
 type state = {
-  file : string;  (** path used in reports *)
-  rule_path : string;  (** path used for directory-scoped exemptions *)
-  intra_r3 : bool;
-      (** check R3 with the lexical (enclosing-function) rule; project mode
-          turns this off and runs the interprocedural pass instead *)
-  on_suppressed : rule:string -> loc:Location.t -> unit;
-      (** called instead of recording when a finding is [@lint.allow]ed;
-          drivers use it for suppression accounting *)
-  registry : allow_registry option;
-      (** suppression-site registry for stale-attribute accounting *)
-  mutable findings : finding list;
-  mutable scopes : scope list;  (** innermost function first *)
-  mutable allows : (SS.t * allow_site option) list;  (** suppression stack *)
+  w : World.t;
+  file : string;
+  rule_path : string;
+  findings : finding list ref;
+  mutable sim : bool list;
+      (** per enclosing function, innermost first: it holds a simulated
+          thread context *)
+  mutable allows : (SS.t * allow_site) list;  (** suppression stack *)
   mutable force_sim : bool;
       (** the next lambda visited is a [Simthread.spawn] callback *)
 }
 
-let contains_sub ~sub s =
-  let n = String.length sub and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-  n = 0 || go 0
-
-let in_dir dir st =
-  contains_sub ~sub:(dir ^ "/") st.rule_path
-  || String.length st.rule_path > String.length dir
-     && String.sub st.rule_path 0 (String.length dir + 1) = dir ^ "/"
-
-let cur_scope st =
-  match st.scopes with s :: _ -> s | [] -> assert false
-
-let find_allow st rule =
-  List.find_opt (fun (s, _) -> SS.mem rule s || SS.mem "all" s) st.allows
-
-let report st rule (loc : Location.t) msg =
-  match find_allow st rule with
-  | Some (_, site) ->
-    Option.iter (fun s -> s.as_uses <- s.as_uses + 1) site;
-    st.on_suppressed ~rule ~loc
-  | None ->
-    st.findings <-
-      {
-        rule;
-        file = st.file;
-        line = loc.loc_start.pos_lnum;
-        col = loc.loc_start.pos_cnum - loc.loc_start.pos_bol;
-        msg;
-      }
-      :: st.findings
+let report st rule loc msg =
+  World.report st.findings ?allow:(covering st.allows rule) ~rule
+    ~file:st.file loc msg
 
 let rec pattern_binds_ctx (p : Parsetree.pattern) =
   match p.ppat_desc with
@@ -295,7 +153,7 @@ let rec pattern_binds_ctx (p : Parsetree.pattern) =
 
 (* First positional argument of a Simthread call: an [Env.t]'s [.ctx] field
    also proves the caller holds a thread context. *)
-let arg_is_ctx_field (args : (Asttypes.arg_label * Parsetree.expression) list) =
+let arg_is_ctx_field (args : args) =
   match
     List.find_opt (fun (l, _) -> l = Asttypes.Nolabel) args
   with
@@ -326,7 +184,8 @@ let check_ident st (loc : Location.t) path =
           ordered map"
          p);
   (* R2: uncharged memory traffic *)
-  if (not (in_dir "lib/mem" st)) && matches_any hierarchy_traffic path then
+  if (not (in_dir "lib/mem" st.rule_path)) && matches_any hierarchy_traffic path
+  then
     report st "R2" loc
       (Printf.sprintf
          "%s bypasses the charge discipline; route traffic through Env.load \
@@ -337,7 +196,7 @@ let check_ident st (loc : Location.t) path =
   if List.mem p forbidden_obj then
     report st "R4" loc (p ^ " defeats the type system; forbidden in the simulation")
 
-let check_apply st (loc : Location.t) path args =
+let check_apply st (loc : Location.t) path (args : args) =
   let p = strip_stdlib path in
   (* R1: randomized hash tables *)
   (if matches "Hashtbl.create" p then
@@ -366,8 +225,8 @@ let check_apply st (loc : Location.t) path args =
   (* R4: Simthread operations need a thread context *)
   if
     matches_any simthread_ops path
-    && (not (in_dir "lib/sim" st))
-    && (not (cur_scope st).sim)
+    && (not (in_dir "lib/sim" st.rule_path))
+    && (not (List.hd st.sim))
     && not (arg_is_ctx_field args)
   then
     report st "R4" loc
@@ -375,27 +234,6 @@ let check_apply st (loc : Location.t) path args =
          "%s is only legal from a simulated thread (a [ctx] parameter, a \
           Simthread.spawn callback, or an Env.t's .ctx)"
          path)
-
-let commit_dominators st path =
-  if matches_any commit_family path then (cur_scope st).committed <- true
-
-let check_field_read st (loc : Location.t) lid =
-  let name = try Longident.last lid with _ -> "" in
-  match List.assoc_opt name shared_fields with
-  | Some what ->
-    if st.intra_r3 && not (cur_scope st).committed then
-      report st "R3" loc
-        (Printf.sprintf
-           "read of shared-mutable field .%s (%s) is not dominated by a \
-            commit in the enclosing function; call Env.commit / \
-            Simthread.commit (or delay/yield) first so the thread observes \
-            other threads' writes"
-           name what)
-  | None -> ()
-
-(* ------------------------------------------------------------------ *)
-(* Traversal                                                           *)
-(* ------------------------------------------------------------------ *)
 
 let with_allows st entries f =
   if entries = [] then f ()
@@ -405,38 +243,31 @@ let with_allows st entries f =
     Fun.protect ~finally:(fun () -> st.allows <- saved) f
   end
 
-let with_scope st scope f =
-  st.scopes <- scope :: st.scopes;
-  Fun.protect ~finally:(fun () -> st.scopes <- List.tl st.scopes) f
-
-let is_spawn path = matches "Simthread.spawn" path
+let with_scope st sim f =
+  st.sim <- sim :: st.sim;
+  Fun.protect ~finally:(fun () -> st.sim <- List.tl st.sim) f
 
 let iterator st =
   let open Ast_iterator in
-  let entries attrs = allow_entries ?registry:st.registry ~file:st.file attrs in
+  let entries attrs = allow_entries st.w ~file:st.file attrs in
+  let lambda it e ~binds_ctx =
+    let sim = List.hd st.sim || st.force_sim || binds_ctx in
+    st.force_sim <- false;
+    with_scope st sim (fun () -> default_iterator.expr it e)
+  in
   let expr it (e : Parsetree.expression) =
     with_allows st (entries e.pexp_attributes) @@ fun () ->
     match e.pexp_desc with
     | Pexp_ident { txt; loc } ->
       check_ident st loc (path_of_lid txt);
       default_iterator.expr it e
-    | Pexp_fun (_, _, pat, _) ->
-      let parent = cur_scope st in
-      let sim = parent.sim || st.force_sim || pattern_binds_ctx pat in
-      st.force_sim <- false;
-      with_scope st { committed = parent.committed; sim } (fun () ->
-          default_iterator.expr it e)
-    | Pexp_function _ ->
-      let parent = cur_scope st in
-      let sim = parent.sim || st.force_sim in
-      st.force_sim <- false;
-      with_scope st { committed = parent.committed; sim } (fun () ->
-          default_iterator.expr it e)
+    | Pexp_fun (_, _, pat, _) -> lambda it e ~binds_ctx:(pattern_binds_ctx pat)
+    | Pexp_function _ -> lambda it e ~binds_ctx:false
     | Pexp_apply ({ pexp_desc = Pexp_ident { txt; loc }; _ }, args) ->
       let path = path_of_lid txt in
       check_ident st loc path;
       check_apply st loc path args;
-      if is_spawn path then
+      if matches "Simthread.spawn" path then
         (* the function argument of spawn runs as a simulated thread *)
         List.iter
           (fun ((_, a) : Asttypes.arg_label * Parsetree.expression) ->
@@ -446,16 +277,7 @@ let iterator st =
             it.expr it a;
             st.force_sim <- false)
           args
-      else List.iter (fun (_, a) -> it.expr it a) args;
-      commit_dominators st path
-    | Pexp_apply _ ->
-      default_iterator.expr it e;
-      (* an unknown applied expression may commit internally; stay exact
-         only for direct calls *)
-      ()
-    | Pexp_field (_, { txt; loc }) ->
-      check_field_read st loc txt;
-      default_iterator.expr it e
+      else List.iter (fun (_, a) -> it.expr it a) args
     | _ -> default_iterator.expr it e
   in
   let value_binding it (vb : Parsetree.value_binding) =
@@ -468,73 +290,282 @@ let iterator st =
       (* [@@@lint.allow "..."] suppresses for the rest of the file *)
       st.allows <- entries [ a ] @ st.allows
     | Pstr_value _ ->
-      (* each top-level binding gets a fresh dominance scope *)
-      with_scope st { committed = false; sim = false } (fun () ->
-          default_iterator.structure_item it si)
+      (* each top-level binding starts outside any thread context *)
+      with_scope st false (fun () -> default_iterator.structure_item it si)
     | _ -> default_iterator.structure_item it si
   in
   { default_iterator with expr; value_binding; structure_item }
+
+let check_intra w findings (file, rule_path, str) =
+  let st =
+    { w; file; rule_path; findings; sim = [ false ]; allows = [];
+      force_sim = false }
+  in
+  let it = iterator st in
+  it.structure it str
+
+(* ------------------------------------------------------------------ *)
+(* The interprocedural pass: R3 and indirect R2                        *)
+(* ------------------------------------------------------------------ *)
+
+type ev =
+  | Call of { path : string; loc : Location.t; r2_allow : allow_site option }
+      (** syntactic application of a named target; [r2_allow] is the
+          covering [@lint.allow "R2"], if any *)
+  | Mention of string  (** bare reference: the target escapes as a closure *)
+  | Read of {
+      field : string;
+      what : string;
+      loc : Location.t;
+      r3_allow : allow_site option;
+    }
+  | Open_lam of bool  (** [true] = transparent (runs inline exactly once) *)
+  | Close_lam
+
+(* Walk one binding body, producing its event stream in traversal
+   order. *)
+let extract_events w (b : binding) =
+  let file = b.b_file in
+  let buf = ref [] in
+  let allows =
+    ref
+      (allow_entries w ~file b.b_vb.pvb_attributes
+      @ allow_entries w ~file b.b_floating)
+  in
+  let emit e = buf := e :: !buf in
+  let with_attrs attrs f =
+    match allow_entries w ~file attrs with
+    | [] -> f ()
+    | att ->
+      let saved = !allows in
+      allows := att @ !allows;
+      Fun.protect ~finally:(fun () -> allows := saved) f
+  in
+  let rec walk (e : Parsetree.expression) =
+    with_attrs e.pexp_attributes @@ fun () ->
+    match e.pexp_desc with
+    | Pexp_fun (_, default, _, body) ->
+      Option.iter walk default;
+      emit (Open_lam false);
+      walk body;
+      emit Close_lam
+    | Pexp_function cases ->
+      emit (Open_lam false);
+      List.iter
+        (fun (c : Parsetree.case) ->
+          Option.iter walk c.pc_guard;
+          walk c.pc_rhs)
+        cases;
+      emit Close_lam
+    | Pexp_newtype (_, body) -> walk body
+    | Pexp_apply (f, args) -> (
+      match call_shape f args with
+      | `Call (path, loc, args) -> walk_app path loc args
+      | `Opaque (f, args) ->
+        (* call through a closure / field: opaque target *)
+        walk f;
+        List.iter (fun (_, a) -> walk a) args)
+    | Pexp_field (inner, { txt; loc }) ->
+      walk inner;
+      let name = try Longident.last txt with _ -> "" in
+      (match List.assoc_opt name shared_fields with
+      | Some what ->
+        emit
+          (Read { field = name; what; loc; r3_allow = covering !allows "R3" })
+      | None -> ())
+    | Pexp_ident { txt; _ } ->
+      emit (Mention (strip_stdlib (path_of_lid txt)))
+    | Pexp_let (_, vbs, body) ->
+      List.iter
+        (fun (vb : Parsetree.value_binding) ->
+          with_attrs vb.pvb_attributes (fun () -> walk vb.pvb_expr))
+        vbs;
+      walk body
+    | _ ->
+      (* generic recursion over sub-expressions *)
+      let it =
+        { Ast_iterator.default_iterator with expr = (fun _ e -> walk e) }
+      in
+      Ast_iterator.default_iterator.expr it e
+  and walk_app path loc args =
+    (* [Env.tagged env "site" (fun () -> ...)]: the lambda runs inline,
+       exactly once — analyze it at the caller's depth so commits and
+       reads inside it belong to the enclosing function *)
+    let transparent = matches "Env.tagged" path in
+    List.iter
+      (fun ((_, a) : Asttypes.arg_label * Parsetree.expression) ->
+        match a.pexp_desc with
+        | (Pexp_fun _ | Pexp_function _) when transparent ->
+          emit (Open_lam true);
+          walk (strip_params ~default:walk a);
+          emit Close_lam
+        | _ -> walk a)
+      args;
+    (* the call itself comes after its arguments *)
+    emit (Call { path; loc; r2_allow = covering !allows "R2" })
+  in
+  (* the parameter chain of the binding is the function's own body: walk
+     it transparently (no lambda frame) *)
+  walk (strip_params ~default:walk b.b_vb.pvb_expr);
+  List.rev !buf
+
+(* Interpret an event stream: track lexical commit domination (with
+   lambda save/restore) and opaque-lambda depth, calling back on each
+   call site and shared-field read with whether it is dominated. *)
+let replay ~call_commits events ~on_call ~on_read =
+  let committed = ref false and depth = ref 0 and stack = ref [] in
+  List.iter
+    (fun ev ->
+      match ev with
+      | Open_lam true -> stack := None :: !stack
+      | Open_lam false ->
+        stack := Some !committed :: !stack;
+        incr depth
+      | Close_lam -> (
+        match !stack with
+        | None :: tl -> stack := tl
+        | Some c :: tl ->
+          stack := tl;
+          committed := c;
+          decr depth
+        | [] -> ())
+      | Mention _ -> ()
+      | Read { field; what; loc; r3_allow } ->
+        on_read ~dominated:!committed (field, what, loc, r3_allow)
+      | Call { path; loc; r2_allow } ->
+        on_call ~dominated:!committed ~depth:!depth (path, loc, r2_allow);
+        if matches_any commit_family path || call_commits path then
+          committed := true)
+    events
+
+let check_interp w findings =
+  let fns = List.map (fun b -> (b, extract_events w b)) w.bindings in
+  let resolve (b : binding) path = World.resolve w.fns ~file:b.b_file path in
+  let in_mem (b : binding) = in_dir "lib/mem" b.b_rule in
+  let push tbl k v =
+    Hashtbl.replace tbl k (v :: Option.value (Hashtbl.find_opt tbl k) ~default:[])
+  in
+  let edges tbl k = Option.value (Hashtbl.find_opt tbl k) ~default:[] in
+  (* commits(f): reverse reachability from direct committers through
+     call sites at lambda depth zero *)
+  let callers0 = Hashtbl.create 256 and committers = ref [] in
+  List.iter
+    (fun (b, events) ->
+      replay events ~call_commits:(fun _ -> false) ~on_read:(fun ~dominated:_ _ -> ())
+        ~on_call:(fun ~dominated:_ ~depth (path, _, _) ->
+          if depth = 0 then
+            if matches_any commit_family path then
+              committers := (b.b_key, ()) :: !committers
+            else
+              Option.iter (fun g -> push callers0 g.b_key b.b_key) (resolve b path)))
+    fns;
+  let commits = reach ~succ:(edges callers0) !committers in
+  (* one replay per function with the final commit set *)
+  let calls = Hashtbl.create 256 (* caller -> (callee, loc, r2_allow) *)
+  and reads = Hashtbl.create 256 (* function -> undominated reads *)
+  and has_site = Hashtbl.create 256
+  and undominated = Hashtbl.create 256 (* caller -> undominated callees *)
+  and raw_callers = Hashtbl.create 256 (* callee outside lib/mem -> callers *)
+  and seeds = ref [] in
+  List.iter
+    (fun ((b : binding), events) ->
+      replay events
+        ~call_commits:(fun path ->
+          match resolve b path with
+          | Some g -> Hashtbl.mem commits g.b_key
+          | None -> false)
+        ~on_read:(fun ~dominated r -> if not dominated then push reads b.b_key r)
+        ~on_call:(fun ~dominated ~depth:_ (path, loc, r2_allow) ->
+          match resolve b path with
+          | Some g ->
+            push calls b.b_key (g, loc, r2_allow);
+            Hashtbl.replace has_site g.b_key ();
+            if not dominated then push undominated b.b_key g.b_key;
+            if not (in_mem g) then push raw_callers g.b_key b.b_key
+          | None -> ());
+      List.iter
+        (function
+          | Mention p ->
+            Option.iter (fun g -> seeds := (g.b_key, ()) :: !seeds) (resolve b p)
+          | _ -> ())
+        events)
+    fns;
+  (* exposed(f): reachable from entry points and escaping closures
+     through undominated call sites *)
+  List.iter
+    (fun ((b : binding), _) ->
+      if not (Hashtbl.mem has_site b.b_key) then seeds := (b.b_key, ()) :: !seeds)
+    fns;
+  let exposed = reach ~succ:(edges undominated) !seeds in
+  (* R3: an undominated read in an exposed function *)
+  List.iter
+    (fun ((b : binding), _) ->
+      if Hashtbl.mem exposed b.b_key then
+        List.iter
+          (fun (field, what, loc, r3_allow) ->
+            World.report findings ?allow:r3_allow ~rule:"R3" ~file:b.b_file loc
+              (Printf.sprintf
+                 "read of shared-mutable field .%s (%s): %s can run with \
+                  uncommitted cycles (it is an entry point, escapes as a \
+                  closure, or has a call site that is not commit-dominated); \
+                  commit before the read or at every call site"
+                 field what b.b_key))
+          (edges reads b.b_key))
+    fns;
+  (* R2: reaches(f) — reverse reachability from raw Hierarchy traffic
+     outside lib/mem, through callees outside lib/mem *)
+  let raw =
+    List.filter_map
+      (fun ((b : binding), events) ->
+        let traffic = function
+          | Call { path; _ } -> matches_any hierarchy_traffic path
+          | _ -> false
+        in
+        if (not (in_mem b)) && List.exists traffic events then Some (b.b_key, ())
+        else None)
+      fns
+  in
+  let reaches = reach ~succ:(edges raw_callers) raw in
+  List.iter
+    (fun ((b : binding), _) ->
+      if in_dir "lib" b.b_rule then
+        List.iter
+          (fun ((g : binding), loc, r2_allow) ->
+            if (not (in_mem g)) && Hashtbl.mem reaches g.b_key then
+              World.report findings ?allow:r2_allow ~rule:"R2" ~file:b.b_file loc
+                (Printf.sprintf
+                   "call to %s reaches uncharged Hierarchy traffic (a \
+                    sanctioned raw access further down the call graph); \
+                    route this path through Env.load / Env.store / \
+                    Env.prefetch_batch so the cycles land in the thread's \
+                    accumulator"
+                   g.b_key))
+          (edges calls b.b_key))
+    fns
 
 (* ------------------------------------------------------------------ *)
 (* Entry points                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let parse_implementation path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let lexbuf = Lexing.from_channel ic in
-      Lexing.set_filename lexbuf path;
-      Parse.implementation lexbuf)
+let check_project w =
+  let intra = ref [] and inter = ref [] in
+  List.iter (check_intra w intra) w.sources;
+  check_interp w inter;
+  (* a shadowed binding shares its key, so its call sites can repeat *)
+  List.sort compare_finding (!intra @ List.sort_uniq compare_finding !inter)
 
-let check_structure ?(file = "<string>") ?(rule_path = file)
-    ?(intra_r3 = true) ?(on_suppressed = fun ~rule:_ ~loc:_ -> ()) ?registry
-    (str : Parsetree.structure) =
-  let st =
-    {
-      file;
-      rule_path;
-      intra_r3;
-      on_suppressed;
-      registry;
-      findings = [];
-      scopes = [ { committed = false; sim = false } ];
-      allows = [];
-      force_sim = false;
-    }
-  in
-  let it = iterator st in
-  it.structure it str;
-  List.sort compare_finding st.findings
-
-let check_file ?rule_path ?intra_r3 path =
-  let rule_path = match rule_path with Some p -> p | None -> path in
-  match parse_implementation path with
-  | str -> Ok (check_structure ~file:path ~rule_path ?intra_r3 str)
-  | exception Syntaxerr.Error _ ->
-    Error (Printf.sprintf "%s: syntax error" path)
-  | exception Sys_error m -> Error m
-
-let check_string ?(file = "<string>") ?(rule_path = file) ?intra_r3 src =
+let check_string ?(file = "<string>") ?(rule_path = file) src =
   let lexbuf = Lexing.from_string src in
   Lexing.set_filename lexbuf file;
   match Parse.implementation lexbuf with
-  | str -> Ok (check_structure ~file ~rule_path ?intra_r3 str)
+  | str -> Ok (check_project (World.make [ (file, rule_path, str) ]))
   | exception Syntaxerr.Error _ ->
     Error (Printf.sprintf "%s: syntax error" file)
 
-(* Shared vocabulary for the interprocedural pass (Interp). *)
-module Internal = struct
-  let matches = matches
-  let matches_any = matches_any
-  let path_of_lid = path_of_lid
-  let strip_stdlib = strip_stdlib
-  let commit_family = commit_family
-  let shared_fields = shared_fields
-  let hierarchy_traffic = hierarchy_traffic
-  let allow_of_attrs = allow_of_attrs
-  let allow_of_payload = allow_of_payload
-  let allow_entries = allow_entries
-  let payload_string = payload_string
-end
+let check_file ?rule_path path =
+  let rule_path = Option.value rule_path ~default:path in
+  match parse_implementation path with
+  | str -> Ok (check_project (World.make [ (path, rule_path, str) ]))
+  | exception Syntaxerr.Error _ ->
+    Error (Printf.sprintf "%s: syntax error" path)
+  | exception Sys_error m -> Error m

@@ -1,127 +1,37 @@
-(** Determinism & charge-discipline analyzer for the simulation sources.
+(** The R family: determinism & charge discipline for the simulation
+    sources.
 
-    Parses implementation files with compiler-libs and enforces four rule
-    families, each individually suppressible with [[\@lint.allow "R<n>"]]
+    Each rule is individually suppressible with [[\@lint.allow "R<n>"]]
     (expression), [[\@\@lint.allow "R<n>"]] (binding) or
     [[\@\@\@lint.allow "R<n>"]] (rest of file):
 
     - [R1] — no wall clock, no ambient randomness, no unordered hash-table
       traversal whose order can leak into simulated state.
     - [R2] — outside [lib/mem], memory traffic must be charged through
-      [Env]; direct [Hierarchy.load]/[store]/[prefetch_batch] is forbidden.
-    - [R3] — reads of registered shared-mutable fields (seqlock versions,
-      ring cursors, forwarding completion fields) must be dominated by a
-      commit-family call in the enclosing function.
+      [Env]: direct [Hierarchy.load]/[store]/[prefetch_batch] is
+      forbidden, and so is a call from [lib/] into a function that
+      reaches such traffic without passing through [lib/mem].
+    - [R3] — a read of a registered shared-mutable field (seqlock
+      versions, ring cursors, forwarding completion fields) that is not
+      commit-dominated in its function is reported when the function is
+      {e exposed}: an entry point, a closure that escapes, or reached
+      through a call site that is not commit-dominated (least fixpoint
+      over the call graph).
     - [R4] — [Simthread] effects only from simulated-thread contexts; no
       [Obj.magic]; no physical equality. *)
 
-type finding = {
-  rule : string;  (** "R1" .. "R4" *)
-  file : string;
-  line : int;
-  col : int;
-  msg : string;
-}
+val check_project : World.t -> World.finding list
+(** The R findings of a world, sorted: the intra pass (R1, R4, direct
+    R2) over every source plus the interprocedural pass (R3, indirect
+    R2) over its call graph.  Suppressions are charged to the world's
+    registry. *)
 
-val pp_finding : Format.formatter -> finding -> unit
-(** Renders ["file:line:col: [RULE] message"]. *)
-
-val finding_to_string : finding -> string
-val compare_finding : finding -> finding -> int
-
-(** {1 Suppression sites}
-
-    Every suppression attribute ([[\@lint.allow]], [[\@dom.allow]]) a pass
-    walks registers one {!allow_site}, keyed by (attribute, file, line) so
-    that passes sharing the same source (intra + interprocedural) share a
-    single use counter.  A site whose [as_uses] stays [0] covered no
-    finding: it is stale and should be deleted
-    ([bin/lint_main --strict-suppressions] fails on it). *)
-
-type allow_site = {
-  as_attr : string;  (** attribute name, e.g. ["lint.allow"] *)
-  as_file : string;
-  as_line : int;
-  as_payload : string;  (** raw payload text (rule list or reason) *)
-  mutable as_uses : int;  (** findings this site suppressed *)
-}
-
-type allow_registry
-
-val new_allow_registry : unit -> allow_registry
-
-val register_allow :
-  allow_registry ->
-  attr:string ->
-  file:string ->
-  line:int ->
-  payload:string ->
-  allow_site
-(** Idempotent on (attr, file, line): re-registration returns the existing
-    site, so use counts accumulate across passes. *)
-
-val allow_sites : allow_registry -> allow_site list
-(** All registered sites, ordered by (file, line). *)
-
-val stale_allow_sites : allow_registry -> allow_site list
-(** Sites with zero uses. *)
-
-val check_file :
-  ?rule_path:string -> ?intra_r3:bool -> string -> (finding list, string) result
-(** Lint one [.ml] file.  [rule_path] overrides the path used for
-    directory-scoped exemptions (e.g. the [lib/mem] R2 exemption) — useful
-    for fixture files standing in for sources elsewhere in the tree.
-    [intra_r3] (default [true]) selects the lexical R3 rule; project-mode
-    drivers pass [false] and run {!Interp.check_project}, whose
-    interprocedural rule subsumes it.  [Error] is a parse/IO failure, not a
-    finding. *)
+val check_file : ?rule_path:string -> string -> (World.finding list, string) result
+(** Lint one [.ml] file as a one-file world.  [rule_path] overrides the
+    path used for directory-scoped rules (e.g. the [lib/mem] R2
+    exemption), for fixtures standing in for sources elsewhere in the
+    tree.  [Error] is a parse/IO failure, not a finding. *)
 
 val check_string :
-  ?file:string ->
-  ?rule_path:string ->
-  ?intra_r3:bool ->
-  string ->
-  (finding list, string) result
-(** Same, over source text (for tests). *)
-
-val check_structure :
-  ?file:string ->
-  ?rule_path:string ->
-  ?intra_r3:bool ->
-  ?on_suppressed:(rule:string -> loc:Location.t -> unit) ->
-  ?registry:allow_registry ->
-  Parsetree.structure ->
-  finding list
-(** [on_suppressed] fires instead of a finding when an [[\@lint.allow]]
-    covers it — suppression accounting for drivers (default: ignore).
-    [registry] additionally tracks each suppression attribute as an
-    {!allow_site} with per-site use counts for stale reporting. *)
-
-val parse_implementation : string -> Parsetree.structure
-(** Parse one implementation file (raises [Syntaxerr.Error] / [Sys_error]);
-    lets drivers parse once and share the AST with {!Interp}. *)
-
-(**/**)
-
-(** Rule vocabulary shared with the interprocedural pass ({!Interp}). *)
-module Internal : sig
-  val matches : string -> string -> bool
-  val matches_any : string list -> string -> bool
-  val path_of_lid : Longident.t -> string
-  val strip_stdlib : string -> string
-  val commit_family : string list
-  val shared_fields : (string * string) list
-  val hierarchy_traffic : string list
-  val allow_of_attrs : Parsetree.attributes -> Set.Make(String).t
-  val allow_of_payload : Parsetree.payload -> Set.Make(String).t
-
-  val allow_entries :
-    ?registry:allow_registry ->
-    file:string ->
-    Parsetree.attributes ->
-    (Set.Make(String).t * allow_site option) list
-
-  val payload_string : Parsetree.payload -> string option
-end
-
-(**/**)
+  ?file:string -> ?rule_path:string -> string -> (World.finding list, string) result
+(** Same, over source text. *)

@@ -3,9 +3,10 @@
    same seed must produce byte-identical stats digests, with the runtime
    [debug_checks] verifier enabled. *)
 
+module World = Mutps_lint.World
 module Lint = Mutps_lint.Lint
-module Interp = Mutps_lint.Interp
 module Alloc = Mutps_lint.Alloc
+module Dom = Mutps_lint.Dom
 module Engine = Mutps_sim.Engine
 open Mutps_experiments
 
@@ -23,7 +24,7 @@ let findings ?rule_path file =
   | Error msg -> Alcotest.fail msg
 
 let count rule fs =
-  List.length (List.filter (fun (f : Lint.finding) -> f.Lint.rule = rule) fs)
+  List.length (List.filter (fun (f : World.finding) -> f.World.rule = rule) fs)
 
 (* --- fixture checks: each rule must fire on its bad file and stay silent
    on its good twin --- *)
@@ -70,7 +71,7 @@ let test_file_suppression () =
 let test_finding_format () =
   match findings "bad_r2.ml" with
   | f :: _ ->
-    let s = Lint.finding_to_string f in
+    let s = World.finding_to_string f in
     let prefix = Filename.concat fixture_dir "bad_r2.ml" ^ ":" in
     Alcotest.(check bool)
       "file:line: [RULE] shape" true
@@ -86,16 +87,17 @@ let test_check_string () =
 
 (* --- interprocedural pass (project mode) --- *)
 
-(* parse inline sources into the (file, rule_path, ast) triples
-   Interp.check_project takes *)
-let project sources =
-  Interp.check_project
+(* parse inline sources into a world and run the R family over it *)
+let world_of_strings sources =
+  World.make
     (List.map
        (fun (file, src) ->
          let lexbuf = Lexing.from_string src in
          Lexing.set_filename lexbuf file;
          (file, file, Parse.implementation lexbuf))
        sources)
+
+let project sources = Lint.check_project (world_of_strings sources)
 
 let test_interp_r3_proven () =
   (* an undominated read is fine when every call site is commit-dominated,
@@ -165,15 +167,50 @@ let test_interp_r2_env_sanctioned () =
   in
   check_int "Env path clean" 0 (List.length fs)
 
+(* one resolver for all three families: when two files define the same
+   module, a qualified call into it is unresolved everywhere.  The
+   one-definition world is the control that shows each probe fires. *)
+let test_shared_resolver_ambiguity () =
+  let util =
+    "let f hier =\n\
+    \  ignore ((Hierarchy.load hier ~core:0 ~addr:0 ~size:8) [@lint.allow \
+     \"R2\"]);\n\
+    \  Effect.perform Tick"
+  in
+  let main =
+    "let[@hot] use hier = Util.f hier\n\
+     let run hier = Domain.spawn (fun () -> Util.f hier)"
+  in
+  let probe sources =
+    let w = world_of_strings sources in
+    let a = Alloc.check_project w in
+    ( count "R2" (Lint.check_project w),
+      List.mem "Util.f" a.Alloc.hot_set,
+      count "D4" (Dom.check_project w).Dom.findings )
+  in
+  let r2, hot, d4 = probe [ ("lib/a/util.ml", util); ("lib/c/main.ml", main) ] in
+  check_int "control: R2 leak through Util.f" 2 r2;
+  Alcotest.(check bool) "control: Util.f is hot" true hot;
+  check_int "control: D4 through Util.f" 1 d4;
+  let r2, hot, d4 =
+    probe
+      [ ("lib/a/util.ml", util); ("lib/b/util.ml", util); ("lib/c/main.ml", main) ]
+  in
+  check_int "R: Util.f unresolved" 0 r2;
+  Alcotest.(check bool) "A: Util.f unresolved" false hot;
+  check_int "D: Util.f unresolved" 0 d4
+
 (* --- zero-allocation certifier (rule family A) --- *)
 
-let alloc_check files =
-  Alloc.check_project
+let fixture_world files =
+  World.make
     (List.map
        (fun file ->
          let path = Filename.concat fixture_dir file in
-         (path, path, Lint.parse_implementation path))
+         (path, path, World.parse_implementation path))
        files)
+
+let alloc_check files = Alloc.check_project (fixture_world files)
 
 let test_alloc_closure_tuple () =
   let r = alloc_check [ "alloc_bad_closure.ml" ] in
@@ -193,15 +230,13 @@ let test_alloc_ref_in_loop () =
 
 let test_alloc_allow_accounting () =
   (* the growth-branch allow absorbs its finding; the second attribute
-     covers nothing and must read as stale (al_uses = 0) *)
-  let r = alloc_check [ "alloc_allow.ml" ] in
+     covers nothing and must read as stale (no uses) *)
+  let w = fixture_world [ "alloc_allow.ml" ] in
+  let r = Alloc.check_project w in
+  let sites = World.allow_sites w.registry [ "alloc.allow" ] in
   check_int "suppressed clean" 0 (List.length r.Alloc.findings);
-  check_int "both allow sites recorded" 2 (List.length r.Alloc.allow_sites);
-  let used, stale =
-    List.partition
-      (fun (s : Alloc.allow_site) -> s.Alloc.al_uses > 0)
-      r.Alloc.allow_sites
-  in
+  check_int "both allow sites recorded" 2 (List.length sites);
+  let used, stale = List.partition (fun s -> World.uses s > 0) sites in
   check_int "one live site" 1 (List.length used);
   check_int "one stale site" 1 (List.length stale)
 
@@ -216,7 +251,7 @@ let test_alloc_indirect () =
   | [ f ] ->
     Alcotest.(check bool)
       "provenance names the root" true
-      (let msg = f.Lint.msg in
+      (let msg = f.World.msg in
        let needle = "reachable from" in
        let n = String.length needle and m = String.length msg in
        let rec scan i = i + n <= m && (String.sub msg i n = needle || scan (i + 1)) in
@@ -253,12 +288,13 @@ let test_alloc_hot_tree_certified () =
   | None -> ()
   | Some lib ->
     let files = List.sort compare (collect_ml [] lib) in
-    let r =
-      Alloc.check_project
-        (List.map (fun f -> (f, f, Lint.parse_implementation f)) files)
+    let w =
+      World.make (List.map (fun f -> (f, f, World.parse_implementation f)) files)
     in
+    let r = Alloc.check_project w in
+    let sites = World.allow_sites w.registry [ "alloc.allow" ] in
     List.iter
-      (fun (f : Lint.finding) -> print_endline (Lint.finding_to_string f))
+      (fun (f : World.finding) -> print_endline (World.finding_to_string f))
       r.Alloc.findings;
     check_int "annotated hot set certifies zero-alloc" 0
       (List.length r.Alloc.findings);
@@ -267,14 +303,13 @@ let test_alloc_hot_tree_certified () =
       (List.length r.Alloc.hot_roots >= 20);
     Alcotest.(check bool)
       "at most 3 [@alloc.allow] suppressions" true
-      (List.length r.Alloc.allow_sites <= 3);
+      (List.length sites <= 3);
     List.iter
-      (fun (s : Alloc.allow_site) ->
+      (fun (s : World.allow_site) ->
         Alcotest.(check bool)
-          (Printf.sprintf "allow at %s:%d is live" s.Alloc.al_file
-             s.Alloc.al_line)
-          true (s.Alloc.al_uses > 0))
-      r.Alloc.allow_sites
+          (Printf.sprintf "allow at %s:%d is live" s.as_file s.as_line)
+          true (World.uses s > 0))
+      sites
 
 let test_syntax_error () =
   match Lint.check_string "let let let" with
@@ -283,16 +318,9 @@ let test_syntax_error () =
 
 (* --- domain-safety certifier (rule family D) --- *)
 
-module Dom = Mutps_lint.Dom
 module San = Mutps_san.San
 
-let dom_check files =
-  Dom.check_project
-    (List.map
-       (fun file ->
-         let path = Filename.concat fixture_dir file in
-         (path, path, Lint.parse_implementation path))
-       files)
+let dom_check files = Dom.check_project (fixture_world files)
 
 let contains hay needle =
   let n = String.length needle and m = String.length hay in
@@ -348,8 +376,8 @@ let test_dom_spawn_escape () =
     (List.length r.Dom.findings);
   (* every finding names the racy function, none the locked twin *)
   List.iter
-    (fun (f : Lint.finding) ->
-      Alcotest.(check bool) "names racy" true (contains f.Lint.msg ".racy"))
+    (fun (f : World.finding) ->
+      Alcotest.(check bool) "names racy" true (contains f.World.msg ".racy"))
     r.Dom.findings
 
 let test_dom_lock_cycle () =
@@ -370,15 +398,14 @@ let test_dom_effect_cross () =
   check_int "handled twin clean" 2 (List.length r.Dom.findings)
 
 let test_dom_allow_accounting () =
-  let r = dom_check [ "dom_allow.ml" ] in
+  let w = fixture_world [ "dom_allow.ml" ] in
+  let r = Dom.check_project w in
+  let sites = World.allow_sites w.registry [ "dom.allow" ] in
   check_int "suppressed clean" 0 (List.length r.Dom.findings);
-  check_int "one finding absorbed" 1 r.Dom.suppressed;
-  check_int "both allow sites recorded" 2 (List.length r.Dom.allow_sites);
-  let used, stale =
-    List.partition
-      (fun (s : Lint.allow_site) -> s.Lint.as_uses > 0)
-      r.Dom.allow_sites
-  in
+  check_int "one finding absorbed" 1
+    (List.fold_left (fun n s -> n + World.uses s) 0 sites);
+  check_int "both allow sites recorded" 2 (List.length sites);
+  let used, stale = List.partition (fun s -> World.uses s > 0) sites in
   check_int "one live site" 1 (List.length used);
   check_int "one stale site" 1 (List.length stale)
 
@@ -443,8 +470,11 @@ let test_dom_san_subset () =
     Alcotest.(check bool)
       "sanitizer sees the race" true
       (List.length reports >= 1);
-    let r = Dom.check_project [ (src, src, Lint.parse_implementation src) ] in
-    let msgs = List.map (fun (f : Lint.finding) -> f.Lint.msg) r.Dom.findings in
+    let r =
+      Dom.check_project
+        (World.make [ (src, src, World.parse_implementation src) ])
+    in
+    let msgs = List.map (fun (f : World.finding) -> f.World.msg) r.Dom.findings in
     Alcotest.(check bool)
       "static pass flags the module" true
       (msgs <> []);
@@ -481,12 +511,13 @@ let test_dom_tree_certified () =
   | None -> ()
   | Some lib ->
     let files = List.sort compare (collect_ml [] lib) in
-    let r =
-      Dom.check_project
-        (List.map (fun f -> (f, f, Lint.parse_implementation f)) files)
+    let w =
+      World.make (List.map (fun f -> (f, f, World.parse_implementation f)) files)
     in
+    let r = Dom.check_project w in
+    let sites = World.allow_sites w.registry [ "dom.allow" ] in
     List.iter
-      (fun (f : Lint.finding) -> print_endline (Lint.finding_to_string f))
+      (fun (f : World.finding) -> print_endline (World.finding_to_string f))
       r.Dom.findings;
     check_int "library tree certifies domain-safe" 0
       (List.length r.Dom.findings);
@@ -503,14 +534,71 @@ let test_dom_tree_certified () =
          r.Dom.globals);
     Alcotest.(check bool)
       "at most 5 [@dom.allow] suppressions" true
-      (List.length r.Dom.allow_sites <= 5);
+      (List.length sites <= 5);
     List.iter
-      (fun (s : Lint.allow_site) ->
+      (fun (s : World.allow_site) ->
         Alcotest.(check bool)
-          (Printf.sprintf "allow at %s:%d is live" s.Lint.as_file
-             s.Lint.as_line)
-          true (s.Lint.as_uses > 0))
-      r.Dom.allow_sites
+          (Printf.sprintf "allow at %s:%d is live" s.as_file s.as_line)
+          true (World.uses s > 0))
+      sites
+
+(* --- the mutps-lint driver end to end: exit status, finding counts per
+   family and the stale-suppression report over the fixture directory --- *)
+
+let lint_exe =
+  List.find_opt Sys.file_exists
+    [ "../../bin/lint_main.exe"; "_build/default/bin/lint_main.exe" ]
+
+(* run the driver; (exit status, stdout lines, stderr lines) *)
+let run_driver args =
+  match lint_exe with
+  | None -> Alcotest.fail "lint_main.exe not built"
+  | Some exe ->
+    let out = Filename.temp_file "lint" ".out"
+    and err = Filename.temp_file "lint" ".err" in
+    let rc =
+      Sys.command (Filename.quote_command exe ~stdout:out ~stderr:err args)
+    in
+    let lines f =
+      In_channel.with_open_bin f In_channel.input_all
+      |> String.split_on_char '\n'
+      |> List.filter (fun l -> l <> "")
+    in
+    let r = (rc, lines out, lines err) in
+    Sys.remove out;
+    Sys.remove err;
+    r
+
+let test_driver_fixtures () =
+  let rc, out, err = run_driver [ fixture_dir ] in
+  check_int "exit 1 on findings" 1 rc;
+  let family c =
+    List.length (List.filter (fun l -> contains l (": [" ^ c)) out)
+  in
+  check_int "findings" 35 (List.length out);
+  check_int "R findings" 17 (family "R");
+  check_int "A findings" 7 (family "A");
+  check_int "D findings" 11 (family "D");
+  let stale = List.filter (fun l -> contains l "stale [@") err in
+  check_int "two stale sites" 2 (List.length stale);
+  List.iter2
+    (fun site l -> Alcotest.(check bool) site true (contains l site))
+    [ "dom_allow.ml:13"; "alloc_allow.ml:11" ]
+    stale
+
+let test_driver_strict () =
+  (* a one-file world whose only problem is a stale [@alloc.allow] *)
+  let src = Filename.temp_file "stale_alloc" ".ml" in
+  Out_channel.with_open_bin src (fun oc ->
+      output_string oc "let[@hot] f x = (x + 1) [@alloc.allow \"nothing\"]\n");
+  let lax, _, _ = run_driver [ src ] in
+  let strict, out, err = run_driver [ "--strict-suppressions"; src ] in
+  Sys.remove src;
+  check_int "clean without --strict-suppressions" 0 lax;
+  check_int "exit 1 under --strict-suppressions" 1 strict;
+  check_int "no findings" 0 (List.length out);
+  check_int "one stale line" 1
+    (List.length (List.filter (fun l -> contains l "stale [@alloc.allow]") err))
 
 (* --- determinism regression: a small fig2a-style config (uniform gets),
    run twice with the same seed under debug_checks, must agree to the last
@@ -625,6 +713,8 @@ let () =
             test_interp_r2_leak;
           Alcotest.test_case "Env path sanctioned" `Quick
             test_interp_r2_env_sanctioned;
+          Alcotest.test_case "ambiguous module unresolved in R, A and D" `Quick
+            test_shared_resolver_ambiguity;
         ] );
       ( "alloc",
         [
@@ -656,6 +746,11 @@ let () =
             test_dom_san_subset;
           Alcotest.test_case "library tree certifies" `Quick
             test_dom_tree_certified;
+        ] );
+      ( "driver",
+        [
+          Alcotest.test_case "fixture directory" `Quick test_driver_fixtures;
+          Alcotest.test_case "strict suppressions" `Quick test_driver_strict;
         ] );
       ( "determinism",
         [
