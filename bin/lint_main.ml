@@ -4,7 +4,7 @@
 
    Usage: mutps_lint [--format text|json] [--strict-suppressions]
                      [--lock-graph FILE] [DIR-OR-FILE ...]
-                                          (default roots: lib bin bench examples)
+                                          (default roots: lib bin examples)
 
    Every file is parsed once into one closed world (lib/lint/world.ml),
    which the three families then analyze: the R rules (lib/lint/lint.ml),
@@ -188,7 +188,7 @@ let () =
       | [] -> List.rev acc
     in
     match parse [] (List.tl (Array.to_list Sys.argv)) with
-    | [] -> [ "lib"; "bin"; "bench"; "examples" ]
+    | [] -> [ "lib"; "bin"; "examples" ]
     | roots -> roots
   in
   let missing = List.filter (fun r -> not (Sys.file_exists r)) roots in

@@ -1,5 +1,5 @@
-(* mutps-cli: run the paper's experiments or an ad-hoc server measurement
-   from the command line. *)
+(* mutps-cli: run the paper's experiments, the micro-benchmarks, the
+   golden gate or an ad-hoc server measurement from the command line. *)
 
 open Cmdliner
 open Mutps_experiments
@@ -116,27 +116,25 @@ let with_observability (trace, metrics, profile, max_events) f =
     | None -> ()
   end
 
+(* Every scale field not given on the command line comes from
+   [Harness.scale_from_env], so MUTPS_BENCH_SCALE keeps one meaning. *)
 let scale_term =
-  let keyspace =
-    let doc = "Pre-populated keys (paper: 10M)." in
-    Arg.(value & opt int Harness.default_scale.Harness.keyspace
-         & info [ "keyspace" ] ~doc)
+  let field name doc =
+    Arg.(value & opt (some int) None
+         & info [ name ]
+             ~doc:(doc ^ "  Default: MUTPS_BENCH_SCALE's scale (unscaled \
+                          default when unset)."))
   in
-  let cores =
-    let doc = "Worker cores (paper: 28)." in
-    Arg.(value & opt int Harness.default_scale.Harness.cores & info [ "cores" ] ~doc)
-  in
-  let clients =
-    let doc = "Closed-loop client threads." in
-    Arg.(value & opt int Harness.default_scale.Harness.clients & info [ "clients" ] ~doc)
-  in
-  let window =
-    let doc = "Outstanding requests per client." in
-    Arg.(value & opt int Harness.default_scale.Harness.window & info [ "window" ] ~doc)
-  in
+  let keyspace = field "keyspace" "Pre-populated keys (paper: 10M)." in
+  let cores = field "cores" "Worker cores (paper: 28)." in
+  let clients = field "clients" "Closed-loop client threads." in
+  let window = field "window" "Outstanding requests per client." in
   let measure_ms =
-    let doc = "Measured simulated milliseconds." in
-    Arg.(value & opt float 10.0 & info [ "measure-ms" ] ~doc)
+    let doc =
+      "Measured simulated milliseconds (warm-up is 0.4x this).  Default: \
+       MUTPS_BENCH_SCALE's windows."
+    in
+    Arg.(value & opt (some float) None & info [ "measure-ms" ] ~doc)
   in
   let sample =
     let doc =
@@ -161,13 +159,22 @@ let scale_term =
           Printf.eprintf "--sample: %s\n%!" msg;
           exit 1)
     in
+    let env = Harness.scale_from_env () in
+    let ( |? ) o d = Option.value o ~default:d in
+    let warmup, measure =
+      match measure_ms with
+      | None -> (env.Harness.warmup, env.Harness.measure)
+      | Some ms ->
+        ( int_of_float (0.4 *. ms *. 2_500_000.0),
+          int_of_float (ms *. 2_500_000.0) )
+    in
     {
-      Harness.keyspace;
-      cores;
-      clients;
-      window;
-      warmup = int_of_float (0.4 *. measure_ms *. 2_500_000.0);
-      measure = int_of_float (measure_ms *. 2_500_000.0);
+      Harness.keyspace = keyspace |? env.Harness.keyspace;
+      cores = cores |? env.Harness.cores;
+      clients = clients |? env.Harness.clients;
+      window = window |? env.Harness.window;
+      warmup;
+      measure;
       sample;
     }
   in
@@ -185,21 +192,58 @@ let list_cmd =
   Cmd.v (Cmd.info "list" ~doc:"List available experiments")
     Term.(const run $ const ())
 
+(* --- shared by run, gate, bench-compare and trajectory --- *)
+
+let jobs_term =
+  let doc =
+    "Worker domains for the experiment fan-out (experiments are \
+     independent simulations; results are identical for any job \
+     count).  Defaults to the machine's recommended domain count."
+  in
+  Arg.(value & opt int (Runner.default_jobs ())
+       & info [ "jobs"; "j" ] ~docv:"N" ~doc)
+
+(* One stderr line per experiment as it completes, with its CPU time. *)
+let run_experiments ~jobs names scale =
+  Runner.run_all ~jobs
+    ~on_done:(fun o ->
+      Printf.eprintf "[%s %s in %.1fs cpu]\n%!" o.Runner.name
+        (if o.Runner.error = None then "done" else "FAILED")
+        o.Runner.cpu_s)
+    names scale
+
+let load_or_exit path =
+  try Report.read_file path
+  with
+  | Report.Parse_error msg ->
+    Printf.eprintf "%s: parse error: %s\n%!" path msg;
+    exit 2
+  | Sys_error msg ->
+    Printf.eprintf "%s\n%!" msg;
+    exit 2
+
+(* Print one line per drift of [current] from [baseline] and a summary
+   line headed [tool]; true when nothing drifted. *)
+let compare_rows ~tool ?(tolerance = 0.0) ~baseline current =
+  match Report.diff ~tolerance ~baseline ~current () with
+  | [] ->
+    Printf.printf "%s: %d row(s) match (tolerance %g)\n%!" tool
+      (List.length baseline) tolerance;
+    true
+  | drifts ->
+    List.iter
+      (fun d -> Printf.printf "drift: %s\n" (Report.drift_to_string d))
+      drifts;
+    Printf.printf "%s: %d drift(s) across %d baseline row(s)\n%!" tool
+      (List.length drifts) (List.length baseline);
+    false
+
 (* --- run --- *)
 
 let run_cmd =
   let names =
     let doc = "Experiments to run (see $(b,list)); 'all' runs everything." in
     Arg.(non_empty & pos_all string [] & info [] ~docv:"EXPERIMENT" ~doc)
-  in
-  let jobs =
-    let doc =
-      "Worker domains for the experiment fan-out (experiments are \
-       independent simulations; results are identical for any job \
-       count).  Defaults to the machine's recommended domain count."
-    in
-    Arg.(value & opt int (Runner.default_jobs ())
-         & info [ "jobs"; "j" ] ~docv:"N" ~doc)
   in
   let json =
     let doc =
@@ -209,7 +253,11 @@ let run_cmd =
     in
     Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
   in
-  let run scale sanitize obs jobs json names =
+  let json_dir =
+    let doc = "Also write each experiment's rows to $(docv)/BENCH_<name>.json." in
+    Arg.(value & opt (some string) None & info [ "json-dir" ] ~docv:"DIR" ~doc)
+  in
+  let run scale sanitize obs jobs json json_dir names =
     let names =
       if List.mem "all" names then Registry.names () else names
     in
@@ -221,13 +269,7 @@ let run_cmd =
       exit 1);
     with_sanitizer sanitize @@ fun () ->
     with_observability obs @@ fun () ->
-    let outcomes =
-      Runner.run_all ~jobs
-        ~on_done:(fun o ->
-          if o.Runner.error <> None then
-            Printf.eprintf "[%s FAILED]\n%!" o.Runner.name)
-        names scale
-    in
+    let outcomes = run_experiments ~jobs names scale in
     List.iter
       (fun (o : Runner.outcome) ->
         print_string o.Runner.output;
@@ -242,6 +284,17 @@ let run_cmd =
         (List.length (Runner.rows outcomes))
         path
     | None -> ());
+    (match json_dir with
+    | Some dir ->
+      if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+      List.iter
+        (fun (o : Runner.outcome) ->
+          Report.write_file
+            (Filename.concat dir ("BENCH_" ^ o.Runner.name ^ ".json"))
+            o.Runner.rows)
+        outcomes;
+      Printf.eprintf "json: per-experiment files -> %s/BENCH_*.json\n%!" dir
+    | None -> ());
     match Runner.failed outcomes with
     | [] -> ()
     | failed ->
@@ -251,9 +304,158 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:"Reproduce one or more of the paper's tables/figures")
     Term.(
-      const run $ scale_term $ sanitize_term $ obs_term $ jobs $ json $ names)
+      const run $ scale_term $ sanitize_term $ obs_term $ jobs_term $ json
+      $ json_dir $ names)
 
-(* --- bench-compare: the regression gate over canonical result files --- *)
+(* --- micro: Bechamel substrate suite + engine micro-benchmark cases --- *)
+
+let micro_cmd =
+  let json =
+    let doc =
+      "Write the engine cases' wall-clock $(i,*_perf) rows to $(docv) (the \
+       $(b,trajectory --perf) input)."
+    in
+    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
+  in
+  let run json =
+    print_endline "\n=== Engine micro-benchmark (mutps.alloc trajectory) ===";
+    let windows = Micro.engine_cases () in
+    List.iter
+      (fun w ->
+        Micro.print_row (Micro.gate_row w);
+        Micro.print_row (Micro.perf_row w))
+      windows;
+    (match json with
+    | Some path ->
+      Report.write_file path (List.map Micro.perf_row windows);
+      Printf.eprintf "json: %d perf row(s) -> %s\n%!" (List.length windows)
+        path
+    | None -> ());
+    Micro.run_substrate ()
+  in
+  Cmd.v
+    (Cmd.info "micro"
+       ~doc:
+         "Run the engine micro-benchmark cases (push_pop_churn, \
+          sched_micro, fig2a_hot_loop; pinned scale) and the Bechamel \
+          substrate suite")
+    Term.(const run $ json)
+
+(* --- gate: every golden in test/golden/ --- *)
+
+(* A case is a golden test/golden/<name>.json and a producer of its rows
+   at a scale pinned here, independent of MUTPS_BENCH_SCALE, plus the
+   names of the experiments that failed (reported; their rows are
+   missing). *)
+let gate_experiments ~jobs names scale =
+  let outcomes = run_experiments ~jobs names scale in
+  let ok, failed =
+    List.partition (fun (o : Runner.outcome) -> o.Runner.error = None) outcomes
+  in
+  List.iter
+    (fun (o : Runner.outcome) ->
+      Option.iter (Printf.eprintf "[%s FAILED: %s]\n%!" o.Runner.name)
+        o.Runner.error)
+    failed;
+  (ok, List.map (fun (o : Runner.outcome) -> o.Runner.name) failed)
+
+(* Small enough for dune runtest, large enough that every subsystem (hot
+   cache, rings, autotuner, windowing) is exercised. *)
+let digest_scale =
+  {
+    Harness.keyspace = 1_500;
+    cores = 4;
+    clients = 8;
+    window = 2;
+    warmup = 100_000;
+    measure = 250_000;
+    sample = None;
+  }
+
+let gate_cases =
+  [
+    (* every deterministic experiment (native_serve's rows carry
+       wall-clock metrics), one row per experiment holding the MD5 of its
+       canonical JSON *)
+    ( "experiment_digests",
+      fun ~jobs ->
+        let ok, failed =
+          gate_experiments ~jobs
+            (List.filter (( <> ) "native_serve") (Registry.names ()))
+            digest_scale
+        in
+        ( List.map
+            (fun (o : Runner.outcome) ->
+              Report.row ~experiment:o.Runner.name
+                ~axis:
+                  [
+                    ( "md5",
+                      Digest.to_hex
+                        (Digest.string (Report.to_json o.Runner.rows)) );
+                  ]
+                [])
+            ok,
+          failed ) );
+    ( "bench_baseline",
+      fun ~jobs ->
+        let ok, failed =
+          gate_experiments ~jobs [ "table1"; "fig2b"; "fig12" ]
+            (Harness.scaled 0.02)
+        in
+        (Runner.rows ok, failed) );
+    ( "engine_micro",
+      fun ~jobs:_ -> (List.map Micro.gate_row (Micro.engine_cases ()), []) );
+  ]
+
+let gate_cmd =
+  let update =
+    let doc = "Rewrite the named goldens from this build instead of checking." in
+    Arg.(value & flag & info [ "update" ] ~doc)
+  in
+  let cases =
+    let doc =
+      "Cases to check (default: all): "
+      ^ String.concat ", " (List.map fst gate_cases) ^ "."
+    in
+    Arg.(value & pos_all string [] & info [] ~docv:"CASE" ~doc)
+  in
+  let run update jobs names =
+    let names = if names = [] then List.map fst gate_cases else names in
+    (match List.filter (fun n -> not (List.mem_assoc n gate_cases)) names with
+    | [] -> ()
+    | unknown ->
+      Printf.eprintf "gate: unknown case(s) %s; cases: %s\n%!"
+        (String.concat ", " unknown)
+        (String.concat ", " (List.map fst gate_cases));
+      exit 1);
+    let passed name =
+      let path = Filename.concat "test/golden" (name ^ ".json") in
+      let baseline = if update then [] else load_or_exit path in
+      let rows, failed = (List.assoc name gate_cases) ~jobs in
+      if update then begin
+        (* a golden never loses the rows of an experiment that failed *)
+        if failed <> [] then begin
+          Printf.eprintf "gate %s: not rewritten: %s failed\n%!" name
+            (String.concat ", " failed);
+          exit 1
+        end;
+        Report.write_file path rows;
+        Printf.printf "gate %s: %d row(s) -> %s\n%!" name (List.length rows)
+          path;
+        true
+      end
+      else compare_rows ~tool:("gate " ^ name) ~baseline rows
+    in
+    if not (List.for_all Fun.id (List.map passed names)) then exit 4
+  in
+  Cmd.v
+    (Cmd.info "gate"
+       ~doc:
+         "Check every pinned golden in test/golden/ bit-exact (tolerance \
+          0); exit 4 on any drift.  Run from the repository root.")
+    Term.(const run $ update $ jobs_term $ cases)
+
+(* --- bench-compare: ad-hoc diff of two canonical result files --- *)
 
 let bench_compare_cmd =
   let baseline =
@@ -271,34 +473,16 @@ let bench_compare_cmd =
     Arg.(value & opt float 0.0 & info [ "tolerance" ] ~docv:"FRAC" ~doc)
   in
   let run baseline current tolerance =
-    let load path =
-      try Report.read_file path
-      with
-      | Report.Parse_error msg ->
-        Printf.eprintf "%s: parse error: %s\n%!" path msg;
-        exit 2
-      | Sys_error msg ->
-        Printf.eprintf "%s\n%!" msg;
-        exit 2
-    in
-    let b = load baseline and c = load current in
-    match Report.diff ~tolerance ~baseline:b ~current:c () with
-    | [] ->
-      Printf.printf "bench-compare: %d row(s) match (tolerance %g)\n%!"
-        (List.length b) tolerance
-    | drifts ->
-      List.iter
-        (fun d -> Printf.printf "drift: %s\n" (Report.drift_to_string d))
-        drifts;
-      Printf.printf "bench-compare: %d drift(s) across %d baseline row(s)\n%!"
-        (List.length drifts) (List.length b);
-      exit 4
+    let baseline = load_or_exit baseline in
+    let current = load_or_exit current in
+    if not (compare_rows ~tool:"bench-compare" ~tolerance ~baseline current)
+    then exit 4
   in
   Cmd.v
     (Cmd.info "bench-compare"
        ~doc:
          "Diff two canonical JSON result files; exit non-zero on any drift \
-          (the CI bench-regression gate)")
+          (the comparison $(b,gate) runs against each golden)")
     Term.(const run $ baseline $ current $ tolerance)
 
 (* --- trajectory: append-only perf history + one-sided regression gate --- *)
@@ -309,35 +493,23 @@ let bench_compare_cmd =
    current perf rows against the latest entry with a one-sided tolerance —
    wall-clock noise within the band and improvements of any size pass. *)
 
-let traj_perf_cases rows =
+(* The perf rows' trajectory entry [entry]: per *_perf case, its two
+   wall-clock rates. *)
+let traj_rows ~entry rows =
   List.filter_map
     (fun (r : Report.row) ->
-      match List.assoc_opt "case" r.Report.axis with
-      | Some case
-        when String.length case > 5
-             && String.sub case (String.length case - 5) 5 = "_perf" -> (
-        match
-          (Report.metric r "events_per_sec", Report.metric r "sim_cycles_per_sec")
-        with
-        | Some eps, Some cps -> Some (case, r.Report.system, eps, cps)
-        | _ -> None)
+      match
+        ( List.assoc_opt "case" r.Report.axis,
+          Report.metric r "events_per_sec",
+          Report.metric r "sim_cycles_per_sec" )
+      with
+      | Some case, Some eps, Some cps when String.ends_with ~suffix:"_perf" case
+        ->
+        Some
+          (Report.row ~experiment:"trajectory" ~system:r.Report.system
+             ~axis:[ ("case", case); ("entry", Printf.sprintf "%04d" entry) ]
+             [ ("events_per_sec", eps); ("sim_cycles_per_wall_second", cps) ])
       | _ -> None)
-    rows
-
-let traj_row ?entry (case, system, eps, cps) =
-  let axis =
-    ("case", case)
-    :: (match entry with None -> [] | Some n -> [ ("entry", Printf.sprintf "%04d" n) ])
-  in
-  Report.row ~experiment:"trajectory" ~system ~axis
-    [ ("events_per_sec", eps); ("sim_cycles_per_wall_second", cps) ]
-
-let traj_entries rows =
-  List.filter_map
-    (fun (r : Report.row) ->
-      match List.assoc_opt "entry" r.Report.axis with
-      | Some e -> int_of_string_opt e
-      | None -> None)
     rows
 
 let trajectory_cmd =
@@ -355,8 +527,7 @@ let trajectory_cmd =
   let perf =
     Arg.(required & opt (some file) None
          & info [ "perf" ] ~docv:"FILE"
-             ~doc:"Current perf rows: bench/main.exe engine-micro \
-                   --perf-json output.")
+             ~doc:"Current perf rows: $(b,micro --json) output.")
   in
   let tolerance =
     Arg.(value & opt float 0.25
@@ -365,30 +536,28 @@ let trajectory_cmd =
                    always pass.")
   in
   let run action file perf tolerance =
-    let load path =
-      try Report.read_file path
-      with
-      | Report.Parse_error msg ->
-        Printf.eprintf "%s: parse error: %s\n%!" path msg;
-        exit 2
-      | Sys_error msg ->
-        Printf.eprintf "%s\n%!" msg;
-        exit 2
+    let history = if Sys.file_exists file then load_or_exit file else [] in
+    let last =
+      List.fold_left
+        (fun m (r : Report.row) ->
+          match List.assoc_opt "entry" r.Report.axis with
+          | Some e -> max m (int_of_string e)
+          | None -> m)
+        (-1) history
     in
-    let cases = traj_perf_cases (load perf) in
-    if cases = [] then begin
-      Printf.eprintf "trajectory: no *_perf rows in %s\n%!" perf;
-      exit 2
-    end;
-    let history = if Sys.file_exists file then load file else [] in
-    let last = List.fold_left max (-1) (traj_entries history) in
+    let current entry =
+      match traj_rows ~entry (load_or_exit perf) with
+      | [] ->
+        Printf.eprintf "trajectory: no *_perf rows in %s\n%!" perf;
+        exit 2
+      | rows -> rows
+    in
     match action with
     | `Append ->
-      let entry = last + 1 in
-      let rows = history @ List.map (traj_row ~entry) cases in
-      Report.write_file file rows;
-      Printf.printf "trajectory: entry %04d (%d case(s)) -> %s\n%!" entry
-        (List.length cases) file
+      let rows = current (last + 1) in
+      Report.write_file file (history @ rows);
+      Printf.printf "trajectory: entry %04d (%d case(s)) -> %s\n%!" (last + 1)
+        (List.length rows) file
     | `Check ->
       if last < 0 then begin
         Printf.printf
@@ -396,20 +565,16 @@ let trajectory_cmd =
         exit 0
       end;
       let baseline =
-        List.filter_map
+        List.filter
           (fun (r : Report.row) ->
-            if List.assoc_opt "entry" r.Report.axis
-               = Some (Printf.sprintf "%04d" last)
-            then
-              Some
-                (Report.row ~experiment:"trajectory" ~system:r.Report.system
-                   ~axis:(List.remove_assoc "entry" r.Report.axis)
-                   r.Report.metrics)
-            else None)
+            List.assoc_opt "entry" r.Report.axis
+            = Some (Printf.sprintf "%04d" last))
           history
       in
-      let current = List.map (fun c -> traj_row c) cases in
-      (match Report.diff ~one_sided:true ~tolerance ~baseline ~current () with
+      (match
+         Report.diff ~one_sided:true ~tolerance ~baseline
+           ~current:(current last) ()
+       with
       | [] ->
         Printf.printf
           "trajectory: current perf within %.0f%% of entry %04d (%d case(s))\n%!"
@@ -726,6 +891,6 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [
-            list_cmd; run_cmd; serve_cmd; loadgen_cmd; bench_compare_cmd;
-            trajectory_cmd;
+            list_cmd; run_cmd; serve_cmd; loadgen_cmd; micro_cmd; gate_cmd;
+            bench_compare_cmd; trajectory_cmd;
           ]))

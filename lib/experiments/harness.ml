@@ -42,20 +42,23 @@ let default_scale =
     sample = None;
   }
 
+(* [default_scale] with keyspace, clients and both windows multiplied
+   by [f]: the meaning of MUTPS_BENCH_SCALE=[f]. *)
+let scaled f =
+  let scaled v = max 1 (int_of_float (float_of_int v *. f)) in
+  {
+    default_scale with
+    keyspace = scaled default_scale.keyspace;
+    warmup = scaled default_scale.warmup;
+    measure = scaled default_scale.measure;
+    (* saturation needs outstanding depth even at small scale *)
+    clients = max 48 (scaled default_scale.clients);
+  }
+
 let scale_from_env () =
   match Sys.getenv_opt "MUTPS_BENCH_SCALE" with
   | None | Some "" -> default_scale
-  | Some s ->
-    let f = float_of_string s in
-    let scaled v = max 1 (int_of_float (float_of_int v *. f)) in
-    {
-      default_scale with
-      keyspace = scaled default_scale.keyspace;
-      warmup = scaled default_scale.warmup;
-      measure = scaled default_scale.measure;
-      (* saturation needs outstanding depth even at small scale *)
-      clients = max 48 (scaled default_scale.clients);
-    }
+  | Some s -> scaled (float_of_string s)
 
 type system = Mutps | Basekv | Erpckv
 

@@ -41,8 +41,8 @@
        ([match_with]/[try_with]/[continue_with]/[Simthread.spawn]) are
        handled regions; performer-ness propagates through ordinary calls.
 
-   Findings are reported for library code (rule paths outside bin/,
-   bench/ and examples/ — single-domain drivers); the lock graph is
+   Findings are reported for library code (rule paths outside bin/ and
+   examples/ — single-domain drivers); the lock graph is
    built over everything.  Any finding can be suppressed with
    [[@dom.allow "reason"]] at the expression, [[@@dom.allow "reason"]]
    at the binding, or [[@@@dom.allow "reason"]] for the rest of the
@@ -240,7 +240,7 @@ let is_perform p = matches "perform" p || matches "Effect.perform" p
 (* ------------------------------------------------------------------ *)
 
 let in_reported_dir rule_path =
-  not (List.exists (fun d -> in_dir d rule_path) [ "bin"; "bench"; "examples" ])
+  not (List.exists (fun d -> in_dir d rule_path) [ "bin"; "examples" ])
 
 (* Every record type in the world contributes its mutable field names;
    a type with at least one mutable field counts as instance-local

@@ -22,7 +22,7 @@
       reported.
 
     D1/D2/D4 findings are reported for library code (rule paths outside
-    [bin/], [bench/], [examples/]); the lock graph covers everything.
+    [bin/], [examples/]); the lock graph covers everything.
     Suppress with [[\@dom.allow "reason"]] (expression),
     [[\@\@dom.allow "reason"]] (binding) or [[\@\@\@dom.allow "reason"]]
     (rest of file); sites land in the world's suppression registry for
