@@ -172,9 +172,13 @@ type window = {
    wall time of interest and is less noisy under CI co-tenancy *)
 let cpu_time () = (Sys.time () [@lint.allow "R1"])
 
+(* Words allocated so far.  The minor part comes from [Gc.minor_words]:
+   [quick_stat]'s minor count (OCaml 5.1) leaves out the current minor
+   heap, so it moves in whole-minor-heap steps and a window's reading
+   depends on where the collections before it fell. *)
 let gc_words () =
   let s = Gc.quick_stat () in
-  s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+  Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words
 
 (* [f ()]'s CPU seconds and GC words allocated *)
 let measured f =

@@ -375,8 +375,7 @@ let digest_scale =
 let gate_cases =
   [
     (* every deterministic experiment (native_serve's rows carry
-       wall-clock metrics), one row per experiment holding the MD5 of its
-       canonical JSON *)
+       wall-clock metrics), every row *)
     ( "experiment_digests",
       fun ~jobs ->
         let ok, failed =
@@ -384,18 +383,7 @@ let gate_cases =
             (List.filter (( <> ) "native_serve") (Registry.names ()))
             digest_scale
         in
-        ( List.map
-            (fun (o : Runner.outcome) ->
-              Report.row ~experiment:o.Runner.name
-                ~axis:
-                  [
-                    ( "md5",
-                      Digest.to_hex
-                        (Digest.string (Report.to_json o.Runner.rows)) );
-                  ]
-                [])
-            ok,
-          failed ) );
+        (Runner.rows ok, failed) );
     ( "bench_baseline",
       fun ~jobs ->
         let ok, failed =

@@ -108,15 +108,16 @@ let publish t entries =
       entries);
   t.epoch <- t.epoch + 1
 
-let find_sorted t env key =
+(* Charged search: the slot holding [key], or -1. *)
+let slot_sorted t env key =
   let lo = ref 0 and hi = ref t.size in
-  let found = ref None in
+  let found = ref (-1) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
     Env.load env ~addr:(slot_addr t mid) ~size:entry_bytes;
     let c = Int64.compare t.keys.(mid) key in
     if c = 0 then begin
-      found := t.items.(mid);
+      found := mid;
       lo := !hi
     end
     else if c < 0 then lo := mid + 1
@@ -124,34 +125,52 @@ let find_sorted t env key =
   done;
   !found
 
-let find_probed t env key =
+let slot_probed t env key =
   let rec go attempt =
-    if attempt >= t.table_cap then None
+    if attempt >= t.table_cap then -1
     else begin
       let s = probe_slot t key attempt in
       Env.load env ~addr:(slot_addr t s) ~size:entry_bytes;
       match t.items.(s) with
-      | None -> None
-      | Some item when Int64.equal t.keys.(s) key -> Some item
+      | None -> -1
+      | Some _ when Int64.equal t.keys.(s) key -> s
       | Some _ -> go (attempt + 1)
     end
   in
   go 0
 
+(* The slot of [key] (or -1) under the cache's sync object: the epoch
+   word, then the binary search (Sorted) or probe chain (Probed). *)
+let slot t env key =
+  let obj = sync_obj t env in
+  Env.acquire env obj;
+  Env.load env ~addr:t.epoch_addr ~size:8;
+  let i =
+    match t.mode with
+    | Sorted -> slot_sorted t env key
+    | Probed -> slot_probed t env key
+  in
+  Env.release env obj;
+  i
+
 let find t env key =
   Env.tagged env "Hotcache.find" @@ fun () ->
   if t.size = 0 then None
-  else begin
-    let obj = sync_obj t env in
-    Env.acquire env obj;
-    Env.load env ~addr:t.epoch_addr ~size:8;
-    let found =
-      match t.mode with
-      | Sorted -> find_sorted t env key
-      | Probed -> find_probed t env key
-    in
-    Env.release env obj;
-    found
+  else
+    let i = slot t env key in
+    if i < 0 then None else t.items.(i)
+
+(* The slot is emptied, not removed: a Sorted cache keeps its key order,
+   and a Probed chain cut here only turns later hits into misses, which
+   the MR layer answers. *)
+let invalidate t env key =
+  Env.tagged env "Hotcache.invalidate" @@ fun () ->
+  if t.size > 0 then begin
+    let i = slot t env key in
+    if i >= 0 then begin
+      Env.store env ~addr:(slot_addr t i) ~size:entry_bytes;
+      t.items.(i) <- None
+    end
   end
 
 let mem_silent t key =
@@ -165,7 +184,7 @@ let mem_silent t key =
         let mid = (!lo + !hi) / 2 in
         let c = Int64.compare t.keys.(mid) key in
         if c = 0 then begin
-          found := true;
+          found := Option.is_some t.items.(mid);
           lo := !hi
         end
         else if c < 0 then lo := mid + 1

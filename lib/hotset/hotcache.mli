@@ -39,6 +39,10 @@ val find : t -> Mutps_mem.Env.t -> int64 -> Mutps_store.Item.t option
 (** Charged lookup: epoch word + binary search (Sorted) or probe chain
     (Probed). *)
 
+val invalidate : t -> Mutps_mem.Env.t -> int64 -> unit
+(** Charged removal of [key]'s entry, for a delete reaching the CR layer:
+    later lookups miss until the next {!publish}. *)
+
 val mem_silent : t -> int64 -> bool
 
 val cached_range :

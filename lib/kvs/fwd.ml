@@ -1,8 +1,9 @@
-(** Unit of CR→MR forwarding: the compact request plus completion fields
-    the MR layer fills in.  Responses travel back by tail-pointer piggyback
-    (§3.4): the MR thread never posts to the NIC, it records where in the
-    CR worker's response buffer it put the data and the CR thread posts the
-    send after reaping the completed batch. *)
+(** A request in execution: the compact request plus the completion fields
+    {!Exec.execute} fills in.  It is the unit of CR→MR forwarding, and
+    responses travel back by tail-pointer piggyback (§3.4): the MR thread
+    never posts to the NIC, it records where in its response buffer it put
+    the data and the CR thread posts the send after reaping the completed
+    batch.  Run-to-completion workers and the CR hot path post at once. *)
 
 type t = {
   seq : int;  (** rx slot sequence (the 32-bit [buf] field) *)

@@ -18,6 +18,7 @@ type t = {
   transport : Transport.t;
   crmr : Fwd.t Crmr.t;
   hotcache : Hotcache.t;
+  mr_skip : int64 -> bool;  (* [Hotcache.mem_silent hotcache], made once *)
   tracker : Tracker.t;
   desired : role array;
   current : role array;
@@ -115,6 +116,7 @@ let create ?ncr (config : Config.t) =
       transport = Mutps_net.Reconf_rpc.transport rpc;
       crmr;
       hotcache;
+      mr_skip = Hotcache.mem_silent hotcache;
       tracker;
       desired = Array.init cores (fun w -> if w < ncr then Cr else Mr);
       current = Array.init cores (fun w -> if w < ncr then Cr else Mr);
@@ -248,20 +250,6 @@ let enqueue t env w st fwd =
   if st.pending_n >= t.backend.Backend.config.Config.batch then
     ignore (flush_pending t env w st)
 
-(* serve a request entirely at the CR layer *)
-let cr_hot_get t env w ~seq item =
-  t.cr_hits <- t.cr_hits + 1;
-  Exec.respond_item env t.transport ~worker:w ~seq item
-
-let cr_hot_put t env w ~seq (msg : Message.t) item =
-  t.cr_hits <- t.cr_hits + 1;
-  let value = Option.get msg.Message.value in
-  Env.load env
-    ~addr:(t.transport.Transport.slot_addr seq + 16)
-    ~size:(Bytes.length value);
-  Item.write env item value t.backend.Backend.slab;
-  Exec.respond_ack env t.transport ~worker:w ~seq
-
 let cr_reap t env w =
   let progressed = ref false in
   let continue = ref true in
@@ -269,12 +257,7 @@ let cr_reap t env w =
     match Crmr.take_completed t.crmr env ~cr:w with
     | Some batch ->
       progressed := true;
-      Array.iter
-        (fun (fwd : Fwd.t) ->
-          t.transport.Transport.post_response env ~seq:fwd.Fwd.seq
-            ~resp_addr:fwd.Fwd.resp_addr ~bytes:fwd.Fwd.resp_bytes
-            ~value:fwd.Fwd.resp_value)
-        batch
+      Array.iter (fun fwd -> Exec.post env t.transport fwd) batch
     | None -> continue := false
   done;
   !progressed
@@ -294,15 +277,20 @@ let cr_step t env w st =
     let key = req.Request.key in
     Tracker.record t.tracker key;
     (match req.Request.kind with
-    | Request.Get -> (
+    | Request.Get | Request.Put -> (
+      let fwd = Fwd.make ~seq ~cr:w ~msg ~prefix:[] in
       match Hotcache.find t.hotcache env key with
-      | Some item -> cr_hot_get t env w ~seq item
-      | None -> enqueue t env w st (Fwd.make ~seq ~cr:w ~msg ~prefix:[]))
-    | Request.Put -> (
-      match Hotcache.find t.hotcache env key with
-      | Some item -> cr_hot_put t env w ~seq msg item
-      | None -> enqueue t env w st (Fwd.make ~seq ~cr:w ~msg ~prefix:[]))
-    | Request.Delete -> enqueue t env w st (Fwd.make ~seq ~cr:w ~msg ~prefix:[])
+      | Some item ->
+        (* served entirely at the CR layer *)
+        t.cr_hits <- t.cr_hits + 1;
+        Exec.execute env t.transport t.backend ~lock:Exec.Locked ~worker:w
+          ~skip:Exec.no_skip fwd (Some item);
+        Exec.post env t.transport fwd
+      | None -> enqueue t env w st fwd)
+    | Request.Delete ->
+      (* the cached item must not outlive its key *)
+      Hotcache.invalidate t.hotcache env key;
+      enqueue t env w st (Fwd.make ~seq ~cr:w ~msg ~prefix:[])
     | Request.Scan ->
       (* cooperative scan: copy what the cache already holds, forward the
          rest of the work (§4) *)
@@ -313,11 +301,7 @@ let cr_step t env w st =
             Hotcache.cached_range t.hotcache env ~lo:key
               ~n:req.Request.scan_count
           in
-          List.iter
-            (fun (_, item) ->
-              let v = Item.read env item in
-              ignore (Bytes.length v))
-            cached;
+          List.iter (fun (_, item) -> ignore (Item.read env item)) cached;
           cached
         | Hotcache.Probed -> []
       in
@@ -336,150 +320,22 @@ let cr_step t env w st =
 
 (* --- MR layer (§3.3) --- *)
 
-let mr_prepare_get t env ~mr (fwd : Fwd.t) item_opt =
-  match item_opt with
-  | Some item ->
-    let value = Item.read env item in
-    let bytes = Exec.ack_bytes + Bytes.length value in
-    (* responses are written into the MR thread's own response buffer so
-       the CR layer's buffer lines are never dirtied cross-core (§3.3:
-       the CR layer never touches MR-written responses, the NIC does) *)
-    let resp_addr = t.transport.Transport.resp_alloc ~worker:mr ~bytes in
-    Env.store env ~addr:resp_addr ~size:bytes;
-    fwd.Fwd.resp_addr <- resp_addr;
-    fwd.Fwd.resp_bytes <- bytes;
-    fwd.Fwd.resp_value <- Some value
-  | None ->
-    let resp_addr =
-      t.transport.Transport.resp_alloc ~worker:mr ~bytes:Exec.ack_bytes
-    in
-    Env.store env ~addr:resp_addr ~size:Exec.ack_bytes;
-    fwd.Fwd.resp_addr <- resp_addr;
-    fwd.Fwd.resp_bytes <- Exec.ack_bytes
-
-let mr_prepare_ack t env ~mr (fwd : Fwd.t) =
-  let resp_addr =
-    t.transport.Transport.resp_alloc ~worker:mr ~bytes:Exec.ack_bytes
-  in
-  Env.store env ~addr:resp_addr ~size:Exec.ack_bytes;
-  fwd.Fwd.resp_addr <- resp_addr;
-  fwd.Fwd.resp_bytes <- Exec.ack_bytes
-
-let mr_prepare_put t env ~mr (fwd : Fwd.t) item_opt =
-  let msg = fwd.Fwd.msg in
-  let value = Option.get msg.Message.value in
-  (* data copied straight from the rx slot, not through the CR-MR queue *)
-  Env.load env
-    ~addr:(t.transport.Transport.slot_addr fwd.Fwd.seq + 16)
-    ~size:(Bytes.length value);
-  (match item_opt with
-  | Some item -> Item.write env item value t.backend.Backend.slab
-  | None ->
-    let item = Item.create t.backend.Backend.slab ~value in
-    t.backend.Backend.index.Index.insert env msg.Message.req.Request.key item);
-  mr_prepare_ack t env ~mr fwd
-
-let mr_prepare_scan t env ~mr (fwd : Fwd.t) =
-  let req = fwd.Fwd.msg.Message.req in
-  let count = req.Request.scan_count in
-  let prefix_keys = List.map fst fwd.Fwd.prefix in
-  let rest =
-    t.backend.Backend.index.Index.range env ~lo:req.Request.key ~n:count
-  in
-  let copied = ref 0 and bytes = ref Exec.ack_bytes in
-  List.iter
-    (fun (_, item) ->
-      (* CR already copied these; count their bytes only *)
-      if !copied < count then begin
-        bytes := !bytes + 16 + Item.size item;
-        incr copied
-      end)
-    fwd.Fwd.prefix;
-  List.iter
-    (fun (k, item) ->
-      if !copied < count && not (List.mem k prefix_keys) then begin
-        (* skip the read for items the cache layer handled *)
-        if Hotcache.mem_silent t.hotcache k then
-          bytes := !bytes + 16 + Item.size item
-        else begin
-          let v = Item.read env item in
-          bytes := !bytes + 16 + Bytes.length v
-        end;
-        incr copied
-      end)
-    rest;
-  let alloc = min !bytes 32_768 in
-  let resp_addr = t.transport.Transport.resp_alloc ~worker:mr ~bytes:alloc in
-  Env.store env ~addr:resp_addr ~size:alloc;
-  fwd.Fwd.resp_addr <- resp_addr;
-  fwd.Fwd.resp_bytes <- !bytes
-
+(* Responses are written into the MR thread's own response buffer, so the
+   CR layer's buffer lines are never dirtied cross-core (§3.3: the CR
+   layer never touches MR-written responses, the NIC does); the CR thread
+   posts them after reaping the batch. *)
 let mr_step t env w =
   match Crmr.next_batch t.crmr env ~mr:w ~sources:t.cr_list with
   | None -> false
   | Some (cr, batch) ->
-    let index = t.backend.Backend.index in
-    (* batched prefetch-overlapped indexing over the point ops.  Point
-       ops keep their batch order, so lookup results align positionally
-       with a second walk over the batch — no per-batch key table.  (The
-       tree is not mutated between the lookups and the prepares, so a
-       key appearing twice locates the same item either way.) *)
-    let is_point (fwd : Fwd.t) =
-      match fwd.Fwd.msg.Message.req.Request.kind with
-      | Request.Get | Request.Put -> true
-      | Request.Delete | Request.Scan -> false
+    let located =
+      Exec.batch_lookup env t.backend.Backend.index ~n:(Array.length batch)
+        (fun i -> batch.(i).Fwd.msg)
     in
-    let n_point =
-      Array.fold_left (fun c fwd -> if is_point fwd then c + 1 else c) 0 batch
-    in
-    let point_keys = Array.make n_point 0L in
-    let k = ref 0 in
-    Array.iter
-      (fun (fwd : Fwd.t) ->
-        if is_point fwd then begin
-          point_keys.(!k) <- fwd.Fwd.msg.Message.req.Request.key;
-          incr k
-        end)
-      batch;
-    let located = index.Index.batch_lookup env point_keys in
-    (* overlap the data-item fetches too (§3.3: batching covers the copy
-       stage's cache misses as well) *)
-    let n_addr =
-      Array.fold_left
-        (fun c item -> match item with Some _ -> c + 1 | None -> c)
-        0 located
-    in
-    if n_addr > 0 then begin
-      let item_addrs = Array.make n_addr 0 in
-      let k = ref 0 in
-      Array.iter
-        (fun item ->
-          match item with
-          | Some it ->
-            item_addrs.(!k) <- Item.addr it;
-            incr k
-          | None -> ())
-        located;
-      Env.prefetch_batch env item_addrs
-    end;
-    let k = ref 0 in
-    Array.iter
-      (fun (fwd : Fwd.t) ->
-        let req = fwd.Fwd.msg.Message.req in
-        let key = req.Request.key in
-        match req.Request.kind with
-        | Request.Get ->
-          let item = located.(!k) in
-          incr k;
-          mr_prepare_get t env ~mr:w fwd item
-        | Request.Put ->
-          let item = located.(!k) in
-          incr k;
-          mr_prepare_put t env ~mr:w fwd item
-        | Request.Delete ->
-          ignore (index.Index.remove env key);
-          mr_prepare_ack t env ~mr:w fwd
-        | Request.Scan -> mr_prepare_scan t env ~mr:w fwd)
+    Array.iteri
+      (fun i fwd ->
+        Exec.execute env t.transport t.backend ~lock:Exec.Locked ~worker:w
+          ~skip:t.mr_skip fwd located.(i))
       batch;
     (* tail-pointer advance = completion signal (§3.4) *)
     Crmr.complete t.crmr env ~cr ~mr:w;

@@ -10,10 +10,7 @@
 
 module Env = Mutps_mem.Env
 module Simthread = Mutps_sim.Simthread
-module Request = Mutps_queue.Request
 module Transport = Mutps_net.Transport
-module Message = Mutps_net.Message
-module Index = Mutps_index.Index_intf
 
 type stats = { mutable ops : int; mutable batches : int }
 
@@ -46,7 +43,6 @@ let worker_body ?substrate (backend : Backend.t) (tr : Transport.t) ~lock
     | None -> sim_substrate cfg ~hier:backend.Backend.hier
   in
   let env = sub.make_env ctx ~core:worker in
-  let index = backend.Backend.index in
   let polled = Array.make cfg.Config.batch None in
   while true do
     (* drain up to a batch of requests from our slots *)
@@ -54,9 +50,9 @@ let worker_body ?substrate (backend : Backend.t) (tr : Transport.t) ~lock
     let continue = ref true in
     while !continue && !n < cfg.Config.batch do
       match tr.Transport.poll env ~worker with
-      | Some (seq, msg) ->
+      | Some _ as p ->
         Env.compute env (cfg.Config.parse_cycles + cfg.Config.rtc_extra_cycles);
-        polled.(!n) <- Some (seq, msg);
+        polled.(!n) <- p;
         incr n
       | None -> continue := false
     done;
@@ -64,49 +60,14 @@ let worker_body ?substrate (backend : Backend.t) (tr : Transport.t) ~lock
     else begin
       stats.batches <- stats.batches + 1;
       stats.ops <- stats.ops + !n;
-      (* batched index lookup over the point-op keys *)
-      let point_keys =
-        Array.to_list (Array.sub polled 0 !n)
-        |> List.filter_map (fun p ->
-               match p with
-               | Some (_, (msg : Message.t))
-                 when msg.Message.req.Request.kind <> Request.Scan ->
-                 Some msg.Message.req.Request.key
-               | Some _ | None -> None)
-        |> Array.of_list
-      in
-      let located = index.Index.batch_lookup env point_keys in
-      let by_key = Hashtbl.create 16 in
-      Array.iteri
-        (fun i key -> Hashtbl.replace by_key key located.(i))
-        point_keys;
-      (* prefetch the located items before the copy stage (the paper's
-         BaseKV has batching and prefetching enabled) *)
-      let item_addrs =
-        Array.of_list
-          (List.filter_map
-             (fun item -> Option.map Mutps_store.Item.addr item)
-             (Array.to_list located))
-      in
-      if Array.length item_addrs > 0 then Env.prefetch_batch env item_addrs;
+      let msg i = snd (Option.get polled.(i)) in
+      let located = Exec.batch_lookup env backend.Backend.index ~n:!n msg in
       for i = 0 to !n - 1 do
-        match polled.(i) with
-        | None -> assert false
-        | Some (seq, msg) -> (
-          let req = msg.Message.req in
-          let key = req.Request.key in
-          match req.Request.kind with
-          | Request.Get ->
-            Exec.do_get env tr ~worker ~seq
-              (Option.join (Hashtbl.find_opt by_key key))
-          | Request.Put ->
-            Exec.do_put env tr ~lock ~index ~slab:backend.Backend.slab ~worker
-              ~seq msg
-              (Option.join (Hashtbl.find_opt by_key key))
-          | Request.Delete -> Exec.do_delete env tr ~index ~worker ~seq key
-          | Request.Scan ->
-            Exec.do_scan env tr ~index ~worker ~seq ~key
-              ~count:req.Request.scan_count ())
+        let seq, msg = Option.get polled.(i) in
+        let req = Fwd.make ~seq ~cr:worker ~msg ~prefix:[] in
+        Exec.execute env tr backend ~lock ~worker ~skip:Exec.no_skip req
+          located.(i);
+        Exec.post env tr req
       done;
       sub.flush ctx
     end

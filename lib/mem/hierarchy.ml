@@ -53,19 +53,18 @@ type stats = {
 }
 
 (* Directory: which cores hold the line in a private cache, and which (if
-   any) holds it dirty.  Stored as a DENSE array indexed by line number
-   with the entry packed into one int — [sharers lsl 7 lor (dirty + 1)],
-   0 = absent — rather than any keyed table.  Two reasons, both about the
-   HOST machine: a lookup is one bounds test and one indexed read (no
-   hashing, no probe chain, no key compare), and — decisive for a
-   simulator whose own tag/directory state is memory-bound — adjacent
-   simulated lines land in adjacent entries, so the under-test workload's
-   spatial locality (B-tree nodes, item payloads) carries over to the
-   simulator's directory traffic instead of being deliberately destroyed
-   by a hash.  Density is affordable because {!Layout} allocates regions
-   contiguously from a 1 MiB base: the array's length tracks the highest
-   line ever privately cached, which is bounded by total simulated
-   footprint / 64.  An entry packed as 0 (no sharers, no dirty owner) is
+   any) holds it dirty.  Each entry is packed into one int —
+   [sharers lsl 7 lor (dirty + 1)], 0 = absent — and stored in a
+   two-level table indexed by line number: a chunk table over
+   {!chunk_lines}-line chunks, each chunk a dense int array allocated on
+   first touch.  A lookup is two indexed reads (no hashing, no probe
+   chain, no key compare), and adjacent simulated lines land in adjacent
+   entries of one chunk, so the under-test workload's spatial locality
+   (B-tree nodes, item payloads) carries over to the simulator's own
+   directory traffic.  Memory tracks the lines actually cached, not the
+   highest one: the slab allocator places size classes 1 GiB apart, so a
+   dense array over the whole span would need 2 GB per engine for ETC's
+   value mix.  An entry packed as 0 (no sharers, no dirty owner) is
    observationally identical to an absent line at every use site, so
    "removal" just stores 0. *)
 type t = {
@@ -76,7 +75,8 @@ type t = {
   llc : Cache.t;
   clos : int array;
   ddio_mask : int;
-  mutable dir : int array;  (* packed entry per line; 0 = absent *)
+  mutable dir : int array array;
+      (* chunks, [||] = untouched; packed entry per line, 0 = absent *)
   stats : mutable_stats array;
   mutable nic_llc_hits : int;
   mutable nic_llc_misses : int;
@@ -121,7 +121,7 @@ let create ?(costs = Costs.default) geometry =
     llc = Cache.create ~name:"llc" ~sets:geometry.llc_sets ~ways:geometry.llc_ways;
     clos = Array.make geometry.cores full;
     ddio_mask = (1 lsl geometry.ddio_ways) - 1;
-    dir = Array.make 65_536 0;
+    dir = Array.make 16 [||];
     stats = Array.init geometry.cores (fun _ -> fresh_stats ());
     nic_llc_hits = 0;
     nic_llc_misses = 0;
@@ -149,37 +149,63 @@ let dir_sharers v = v lsr 7
 let dir_dirty v = (v land 127) - 1
 let dir_pack ~sharers ~dirty = (sharers lsl 7) lor (dirty + 1)
 
-let[@inline] dir_val t i = Array.unsafe_get t.dir i
-let[@inline] dir_set_val t i v = Array.unsafe_set t.dir i v
+let chunk_bits = 12
+let chunk_lines = 1 lsl chunk_bits
+
+let[@inline] dir_val t line =
+  Array.unsafe_get
+    (Array.unsafe_get t.dir (line lsr chunk_bits))
+    (line land (chunk_lines - 1))
+
+let[@inline] dir_set_val t line v =
+  Array.unsafe_set
+    (Array.unsafe_get t.dir (line lsr chunk_bits))
+    (line land (chunk_lines - 1))
+    v
 
 let dir_grow t line =
-  (let n = Array.length t.dir in
-   let n' =
-     let rec go n = if line < n then n else go (2 * n) in
-     go (2 * n)
-   in
-   let d = Array.make n' 0 in
-   Array.blit t.dir 0 d 0 n;
-   t.dir <- d)
+  (let c = line lsr chunk_bits in
+   let n = Array.length t.dir in
+   if c >= n then begin
+     let n' =
+       let rec go n = if c < n then n else go (2 * n) in
+       go (2 * n)
+     in
+     let d = Array.make n' [||] in
+     Array.blit t.dir 0 d 0 n;
+     t.dir <- d
+   end;
+   if Array.length t.dir.(c) = 0 then t.dir.(c) <- Array.make chunk_lines 0)
   [@alloc.allow
-    "directory growth: amortized doubling, bounded by the highest line \
-     ever privately cached (simulated footprint / 64); cold after warmup"]
+    "directory growth: a chunk on first touch of its lines, the chunk \
+     table by amortized doubling; bounded by the lines ever privately \
+     cached; cold after warmup"]
 
-(* Slot of [line] — the line number itself — growing the array to cover
-   it if needed. *)
+(* Slot of [line] — the line number itself — allocating its chunk (and
+   growing the chunk table) if needed. *)
 let[@inline] dir_ensure t line =
-  if line >= Array.length t.dir then dir_grow t line;
+  let c = line lsr chunk_bits in
+  if c >= Array.length t.dir || Array.length (Array.unsafe_get t.dir c) = 0
+  then dir_grow t line;
   line
 
+(* Packed entry of [line] without allocating; 0 when its chunk was never
+   touched. *)
+let dir_find t line =
+  let c = line lsr chunk_bits in
+  if c >= Array.length t.dir then 0
+  else
+    let chunk = Array.unsafe_get t.dir c in
+    if Array.length chunk = 0 then 0
+    else Array.unsafe_get chunk (line land (chunk_lines - 1))
+
 let dir_remove_sharer t line core =
-  if line < Array.length t.dir then begin
-    let v = dir_val t line in
-    if v <> 0 then begin
-      let sharers = dir_sharers v land lnot (1 lsl core) in
-      let dirty = dir_dirty v in
-      let dirty = if dirty = core then -1 else dirty in
-      dir_set_val t line (dir_pack ~sharers ~dirty)
-    end
+  let v = dir_find t line in
+  if v <> 0 then begin
+    let sharers = dir_sharers v land lnot (1 lsl core) in
+    let dirty = dir_dirty v in
+    let dirty = if dirty = core then -1 else dirty in
+    dir_set_val t line (dir_pack ~sharers ~dirty)
   end
 
 (* A line evicted from one private level may still live in the other; only
@@ -417,18 +443,16 @@ let dma_write t ~addr ~size =
   for i = 0 to n - 1 do
     let line = first + i in
     (* DDIO snoops out any core-private copies. *)
-    (if line < Array.length t.dir then begin
-       let v = dir_val t line in
-       if v <> 0 then begin
-         let sharers = dir_sharers v in
-         for c = 0 to t.geometry.cores - 1 do
-           if sharers land (1 lsl c) <> 0 then begin
-             ignore (Cache.invalidate t.l1.(c) ~line);
-             ignore (Cache.invalidate t.l2.(c) ~line)
-           end
-         done;
-         dir_set_val t line 0
-       end
+    (let v = dir_find t line in
+     if v <> 0 then begin
+       let sharers = dir_sharers v in
+       for c = 0 to t.geometry.cores - 1 do
+         if sharers land (1 lsl c) <> 0 then begin
+           ignore (Cache.invalidate t.l1.(c) ~line);
+           ignore (Cache.invalidate t.l2.(c) ~line)
+         end
+       done;
+       dir_set_val t line 0
      end);
     if Cache.probe t.llc ~line then begin
       t.nic_llc_hits <- t.nic_llc_hits + 1;

@@ -107,6 +107,13 @@ let parse_int_line s ~pos ~len : (int * int) parse =
     | Some n -> `Ok ((n, e + 2), e + 2)
     | None -> `Bad "expected integer")
 
+(* A declared bulk length [n] with its body at [body]: too long to accept
+   at all, or not yet complete in the first [len] bytes.  Written as
+   [n > len - body - 2], not [body + n + 2 > len], which overflows for
+   [n] near [max_int]. *)
+let bulk_too_long n = n > Mutps_queue.Request.max_size
+let bulk_incomplete n ~body ~len = n > len - body - 2
+
 (* $<n>\r\n<payload>\r\n  at [pos]; yields payload and next offset. *)
 let parse_bulk s ~pos ~len : (string * int) parse =
   if pos >= len then `Need_more
@@ -116,7 +123,8 @@ let parse_bulk s ~pos ~len : (string * int) parse =
     | (`Need_more | `Bad _) as r -> r
     | `Ok ((n, body), _) ->
       if n < 0 then `Bad "negative bulk length"
-      else if body + n + 2 > len then `Need_more
+      else if bulk_too_long n then `Bad "bulk length too large"
+      else if bulk_incomplete n ~body ~len then `Need_more
       else if Bytes.get s (body + n) <> '\r' || Bytes.get s (body + n + 1) <> '\n'
       then `Bad "bulk string missing terminator"
       else `Ok ((Bytes.sub_string s body n, body + n + 2), body + n + 2)
@@ -197,6 +205,7 @@ let parse_reply s ~len : reply parse =
       | `Ok ((n, body), _) ->
         if n = -1 then `Ok (Nil, body)
         else if n < -1 then `Bad "negative bulk length"
-        else if body + n + 2 > len then `Need_more
+        else if bulk_too_long n then `Bad "bulk length too large"
+        else if bulk_incomplete n ~body ~len then `Need_more
         else `Ok (Value (Bytes.sub s body n), body + n + 2))
     | c -> `Bad (Printf.sprintf "unexpected reply byte %C" c)

@@ -26,8 +26,6 @@ module Simthread = Mutps_sim.Simthread
 module Request = Mutps_queue.Request
 module Message = Mutps_net.Message
 module Transport = Mutps_net.Transport
-module Item = Mutps_store.Item
-module Index = Mutps_index.Index_intf
 module Backend = Mutps_kvs.Backend
 module Config = Mutps_kvs.Config
 module Exec = Mutps_kvs.Exec
@@ -320,9 +318,7 @@ let cr_reap shard env cs =
         | Some _ | None -> ())
       | _ -> ());
       Hashtbl.remove cs.fwd_epoch fwd.Fwd.seq;
-      shard.tr.Transport.post_response env ~seq:fwd.Fwd.seq
-        ~resp_addr:fwd.Fwd.resp_addr ~bytes:fwd.Fwd.resp_bytes
-        ~value:fwd.Fwd.resp_value
+      Exec.post env shard.tr fwd
     | None -> continue := false
   done;
   !progressed
@@ -359,51 +355,17 @@ let cr_fiber (cfg : config) shard () =
     Fiber.yield ()
   done
 
-let mr_execute shard env (fwd : Fwd.t) =
-  let index = shard.backend.Backend.index in
-  let req = fwd.Fwd.msg.Message.req in
-  let key = req.Request.key in
-  let ack () =
-    fwd.Fwd.resp_addr <-
-      shard.tr.Transport.resp_alloc ~worker:1 ~bytes:Exec.ack_bytes;
-    fwd.Fwd.resp_bytes <- Exec.ack_bytes
-  in
-  match req.Request.kind with
-  | Request.Get -> (
-    match index.Index.lookup env key with
-    | Some item ->
-      let value = Item.read env item in
-      let bytes = Exec.ack_bytes + Bytes.length value in
-      fwd.Fwd.resp_addr <- shard.tr.Transport.resp_alloc ~worker:1 ~bytes;
-      fwd.Fwd.resp_bytes <- bytes;
-      fwd.Fwd.resp_value <- Some value
-    | None -> ack ())
-  | Request.Put ->
-    let value =
-      match fwd.Fwd.msg.Message.value with
-      | Some v -> v
-      | None -> invalid_arg "native MR: put without payload"
-    in
-    (match index.Index.lookup env key with
-    | Some item -> Item.write_exclusive env item value shard.backend.Backend.slab
-    | None ->
-      let item = Item.create shard.backend.Backend.slab ~value in
-      index.Index.insert env key item);
-    ack ()
-  | Request.Delete ->
-    ignore (index.Index.remove env key);
-    ack ()
-  | Request.Scan ->
-    (* not served over the wire; ack so the connection is never wedged *)
-    ack ()
-
+(* The MR fiber is its shard's only writer, so it writes share-nothing
+   ([Exclusive]); the CR fiber posts its responses after reaping. *)
 let mr_fiber shard () =
   let env = freerun_env shard ~core:1 in
   while true do
     check_stop shard;
     (match Deque.take shard.fwd_q with
     | Some fwd ->
-      mr_execute shard env fwd;
+      Exec.execute env shard.tr shard.backend ~lock:Exec.Exclusive ~worker:1
+        ~skip:Exec.no_skip fwd
+        (Exec.locate env shard.backend.Backend.index fwd.Fwd.msg);
       while not (Deque.push shard.comp_q fwd) do
         check_stop shard;
         Fiber.yield ()
@@ -430,6 +392,7 @@ type conn = {
   mutable wpend : string;  (* poller-only write staging *)
   mutable woff : int;
   mutable closing : bool;  (* close once every reply has been flushed *)
+  mutable broken : bool;  (* socket error: close now, drop its replies *)
 }
 
 (* Release replies in ticket order: a completion may land out of order
@@ -493,11 +456,8 @@ let dispatch st conn cmd =
   | Resp.Get key -> send (Request.get ~key ~buf:0) None
   | Resp.Del key -> send (Request.delete ~key ~buf:0) None
   | Resp.Set (key, v) ->
-    if Bytes.length v > Request.max_size then begin
-      conn_complete conn ~ticket (Resp.Error "value too large");
-      conn.closing <- true
-    end
-    else send (Request.put ~key ~size:(Bytes.length v) ~buf:0) (Some v)
+    (* the parser rejects bulk strings over [Request.max_size] *)
+    send (Request.put ~key ~size:(Bytes.length v) ~buf:0) (Some v)
 
 let conn_parse st conn =
   let continue = ref true in
@@ -530,6 +490,7 @@ let conn_read st conn =
     conn_parse st conn
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
     -> ()
+  | exception Unix.Unix_error _ -> conn.broken <- true
 
 (* Move sequenced replies to the socket; true while the write side still
    has (or may get) bytes to emit. *)
@@ -550,6 +511,7 @@ let conn_flush conn =
     | exception
         Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
       -> ()
+    | exception Unix.Unix_error _ -> conn.broken <- true
   end
 
 (* A closing connection drains once every issued ticket has its reply
@@ -588,6 +550,7 @@ let accept_conns st live =
           wpend = "";
           woff = 0;
           closing = false;
+          broken = false;
         }
       in
       st.accepted <- st.accepted + 1;
@@ -627,11 +590,15 @@ let poller_fiber st () =
       accept_conns st live;
       List.iter
         (fun conn ->
-          if not conn.closing then conn_read st conn;
-          conn_flush conn)
+          if not (conn.closing || conn.broken) then conn_read st conn;
+          if not conn.broken then conn_flush conn)
         !live;
+      (* a socket error (reset, EPIPE from a peer gone without reading its
+         replies) closes that connection only *)
       let closed, kept =
-        List.partition (fun c -> c.closing && conn_drained c) !live
+        List.partition
+          (fun c -> c.broken || (c.closing && conn_drained c))
+          !live
       in
       List.iter (fun c -> close_conn st c) closed;
       live := kept;
@@ -727,9 +694,18 @@ let summarize st =
     conns = st.accepted;
   }
 
+(* A peer that disconnects with replies unread must surface as EPIPE on
+   its own connection, not kill the process with SIGPIPE. *)
 let serve st =
-  Sched.run st.sched;
-  summarize st
+  let prev_sigpipe =
+    try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore)
+    with Invalid_argument _ -> None
+  in
+  Fun.protect
+    ~finally:(fun () -> Option.iter (Sys.set_signal Sys.sigpipe) prev_sigpipe)
+    (fun () ->
+      Sched.run st.sched;
+      summarize st)
 
 let run cfg = serve (prepare cfg)
 

@@ -220,6 +220,29 @@ let test_hotcache_cached_range () =
       let none = Hotcache.cached_range hc env ~lo:31L ~n:3 in
       check_int "empty past end" 0 (List.length none))
 
+let test_hotcache_invalidate () =
+  List.iter
+    (fun mode ->
+      let _, slab = mk_world () in
+      let layout2 = Layout.create () in
+      let hc = Hotcache.create layout2 ~mode ~max_items:16 in
+      Hotcache.publish hc (entries slab [| 5L; 1L; 9L; 3L |]);
+      with_env (fun env ->
+          Hotcache.invalidate hc env 3L;
+          Hotcache.invalidate hc env 7L;
+          check_bool "invalidated key misses" true
+            (Hotcache.find hc env 3L = None);
+          check_bool "not cached any more" false (Hotcache.mem_silent hc 3L);
+          if mode = Hotcache.Sorted then begin
+            check_bool "others still hit" true
+              (List.for_all
+                 (fun k -> Hotcache.find hc env k <> None)
+                 [ 1L; 5L; 9L ]);
+            Alcotest.(check (list int64)) "range skips it" [ 1L; 5L; 9L ]
+              (List.map fst (Hotcache.cached_range hc env ~lo:0L ~n:4))
+          end))
+    [ Hotcache.Sorted; Hotcache.Probed ]
+
 let test_hotcache_range_rejected_probed () =
   let layout2 = Layout.create () in
   let hc = Hotcache.create layout2 ~mode:Hotcache.Probed ~max_items:16 in
@@ -348,6 +371,7 @@ let () =
           Alcotest.test_case "duplicates" `Quick test_hotcache_duplicates_dropped;
           Alcotest.test_case "overflow" `Quick test_hotcache_overflow_rejected;
           Alcotest.test_case "cached range" `Quick test_hotcache_cached_range;
+          Alcotest.test_case "invalidate" `Quick test_hotcache_invalidate;
           Alcotest.test_case "range rejected probed" `Quick test_hotcache_range_rejected_probed;
           Alcotest.test_case "probed cheaper" `Quick test_hotcache_probed_cheaper_than_sorted;
           Alcotest.test_case "publish empty" `Quick test_hotcache_publish_empty;

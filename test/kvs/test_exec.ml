@@ -1,4 +1,4 @@
-(* Operation-execution level tests: Exec helpers, the RTC worker loop,
+(* Operation-execution level tests: the Exec executor, the RTC worker loop,
    CR-MR backpressure, deletes, and transport edge cases driven through
    real (small) systems. *)
 
@@ -25,7 +25,7 @@ let small_config ?(cores = 4) ?(index = Config.Tree) () =
   { c with Config.hot_k = 128; refresh_cycles = 2_000_000; sample_every = 4 }
 
 (* ------------------------------------------------------------------ *)
-(* Exec helpers through a raw transport                                *)
+(* Exec.execute through a raw transport                               *)
 (* ------------------------------------------------------------------ *)
 
 (* A little fixture: backend + reconfigurable RPC with one worker, and a
@@ -64,25 +64,12 @@ let drain f ~ops =
       let env = Env.make ~ctx ~hier:f.backend.Backend.hier ~core:0 in
       for _ = 1 to ops do
         match f.tr.Transport.poll env ~worker:0 with
-        | Some (seq, msg) -> (
-          let req = msg.Message.req in
-          let key = req.Request.key in
-          let item =
-            if req.Request.kind = Request.Scan then None
-            else f.backend.Backend.index.Index.lookup env key
-          in
-          match req.Request.kind with
-          | Request.Get -> Exec.do_get env f.tr ~worker:0 ~seq item
-          | Request.Put ->
-            Exec.do_put env f.tr ~lock:Exec.Locked
-              ~index:f.backend.Backend.index ~slab:f.backend.Backend.slab
-              ~worker:0 ~seq msg item
-          | Request.Delete ->
-            Exec.do_delete env f.tr ~index:f.backend.Backend.index ~worker:0
-              ~seq key
-          | Request.Scan ->
-            Exec.do_scan env f.tr ~index:f.backend.Backend.index ~worker:0
-              ~seq ~key ~count:req.Request.scan_count ())
+        | Some (seq, msg) ->
+          let req = Fwd.make ~seq ~cr:0 ~msg ~prefix:[] in
+          Exec.execute env f.tr f.backend ~lock:Exec.Locked ~worker:0
+            ~skip:Exec.no_skip req
+            (Exec.locate env f.backend.Backend.index msg);
+          Exec.post env f.tr req
         | None -> Simthread.delay ctx 100
       done);
   Engine.run_all f.backend.Backend.engine
@@ -334,6 +321,151 @@ let test_dlb_correct_and_not_slower () =
     true
     (float_of_int hw >= 0.9 *. float_of_int sw)
 
+(* ------------------------------------------------------------------ *)
+(* One executor under three thread models                              *)
+(* ------------------------------------------------------------------ *)
+
+(* A system under test: its backend and transport, the worker a request
+   targets, and what to do once the warm-up traffic has been served. *)
+type sut = {
+  sb : Backend.t;
+  str : Transport.t;
+  target : int64 -> int;
+  after_warm : unit -> unit;
+}
+
+(* Keys 10..29 are made hot on μTPS: every key eight times in a row, so
+   the 1-in-4 tracker samples each of them however the CR threads
+   interleave. *)
+let warm_stream =
+  List.concat_map
+    (fun k ->
+      List.init 8 (fun _ -> (Request.get ~key:(Int64.of_int k) ~buf:0, None)))
+    (List.init 20 (fun i -> 10 + i))
+
+let coverage_stream =
+  let put key size =
+    (Request.put ~key ~size ~buf:0, Some (Client.payload ~key ~size))
+  in
+  let get key = (Request.get ~key ~buf:0, None) in
+  let scan count = (Request.scan ~key:8L ~count ~buf:0, None) in
+  let fresh = Int64.of_int (keyspace + 50) in
+  [
+    get 12L;  (* hit on a hot key *)
+    get 999_999L;  (* miss *)
+    put 12L 40;  (* update of a hot key *)
+    put fresh 24;  (* insert *)
+    get 12L;
+    get fresh;
+    (Request.delete ~key:15L ~buf:0, None);  (* delete of a hot key *)
+    get 15L;
+    scan 1;
+    scan 5;
+    scan 50;  (* over the deleted key and the whole hot set *)
+    put 15L 24;  (* re-insert *)
+    get 15L;
+    scan 50;
+  ]
+
+(* Deliver the warm-up traffic in one go (within one hot-set refresh
+   period), then the stream one request at a time; each reply is its value
+   and the bytes its response put on the wire. *)
+let run_stream sut =
+  let engine = sut.sb.Backend.engine and link = sut.sb.Backend.link in
+  let answered = ref 0 and last = ref None in
+  sut.str.Transport.set_on_response (fun _ value ->
+      incr answered;
+      last := value);
+  let sent = ref 0 in
+  let deliver ((req : Request.t), value) =
+    sut.str.Transport.deliver
+      {
+        Message.id = !sent;
+        client = 0;
+        sent_at = Engine.now engine;
+        target = sut.target req.Request.key;
+        req;
+        value;
+      };
+    incr sent
+  in
+  let await () =
+    let guard = ref 0 in
+    while !answered < !sent && !guard < 1_000 do
+      Engine.run engine ~until:(Engine.now engine + 100_000);
+      incr guard
+    done;
+    if !answered < !sent then Alcotest.failf "request %d never answered" !sent
+  in
+  List.iter deliver warm_stream;
+  await ();
+  sut.after_warm ();
+  List.map
+    (fun m ->
+      let before = Mutps_net.Link.tx_bytes link in
+      deliver m;
+      await ();
+      (!last, Mutps_net.Link.tx_bytes link - before))
+    coverage_stream
+
+let test_one_executor_three_models () =
+  let config = small_config () in
+  let make backend transport ~target ~after_warm =
+    Backend.populate backend ~keyspace ~value_size;
+    { sb = backend; str = transport; target; after_warm }
+  in
+  let basekv = Basekv.create config in
+  let erpckv = Erpckv.create config in
+  let mutps = Mutps.create config in
+  let suts =
+    [
+      ( "BaseKV",
+        make (Basekv.backend basekv) (Basekv.transport basekv)
+          ~target:(fun _ -> -1) ~after_warm:ignore,
+        fun () -> Basekv.start basekv );
+      ( "eRPC-KV",
+        make (Erpckv.backend erpckv) (Erpckv.transport erpckv)
+          ~target:(fun key ->
+            Int64.to_int (Int64.rem key (Int64.of_int config.Config.cores)))
+          ~after_warm:ignore,
+        fun () -> Erpckv.start erpckv );
+      ( "uTPS-T",
+        make (Mutps.backend mutps) (Mutps.transport mutps)
+          ~target:(fun _ -> -1)
+          ~after_warm:(fun () ->
+            Mutps.refresh_now mutps;
+            let engine = (Mutps.backend mutps).Backend.engine in
+            Engine.run engine ~until:(Engine.now engine + 500_000);
+            check_int "hot set holds the warm keys" 20 (Mutps.hot_size mutps)),
+        fun () -> Mutps.start mutps );
+    ]
+  in
+  let runs =
+    List.map
+      (fun (name, sut, start) ->
+        start ();
+        (name, run_stream sut))
+      suts
+  in
+  let value i = fst (List.nth (snd (List.hd runs)) i) in
+  check_bool "deleted key misses" true (Option.is_none (value 7));
+  check_bool "updated value served" true
+    (Option.equal Bytes.equal (value 4)
+       (Some (Client.payload ~key:12L ~size:40)));
+  check_bool "CR layer served part of the stream" true
+    (Mutps.cr_hits mutps > 0);
+  let reference = snd (List.hd runs) in
+  List.iter
+    (fun (name, replies) ->
+      List.iteri
+        (fun i ((v, b), (v', b')) ->
+          check_bool
+            (Printf.sprintf "%s reply %d value" name i)
+            true (Option.equal Bytes.equal v v');
+          check_int (Printf.sprintf "%s reply %d response bytes" name i) b b')
+        (List.combine reference replies))
+    (List.tl runs)
+
 let () =
   Alcotest.run "exec"
     [
@@ -363,5 +495,10 @@ let () =
       ( "erpckv",
         [
           Alcotest.test_case "exclusive no contention" `Quick test_erpckv_exclusive_no_contention;
+        ] );
+      ( "executor",
+        [
+          Alcotest.test_case "one stream, three thread models" `Quick
+            test_one_executor_three_models;
         ] );
     ]

@@ -214,20 +214,32 @@ let test_resp_incremental () =
     | `Bad m -> Alcotest.fail ("prefix rejected: " ^ m)
   done
 
+(* A SET whose value declares [n] bytes. *)
+let hostile_set n =
+  Printf.sprintf "*3\r\n$3\r\nSET\r\n$1\r\n1\r\n$%d\r\n" n
+
 let test_resp_bad_input () =
-  let bad s =
+  let bad parse s =
     let b = Bytes.of_string s in
-    match Resp.parse_command b ~len:(Bytes.length b) with
+    match parse b ~len:(Bytes.length b) with
     | `Bad _ -> ()
     | `Ok _ -> Alcotest.fail ("accepted: " ^ String.escaped s)
     | `Need_more -> Alcotest.fail ("need-more: " ^ String.escaped s)
   in
-  bad "*1\r\n$4\r\nNOPE\r\n";
-  bad "*2\r\n$3\r\nGET\r\n$3\r\nabc\r\n";
+  bad Resp.parse_command "*1\r\n$4\r\nNOPE\r\n";
+  bad Resp.parse_command "*2\r\n$3\r\nGET\r\n$3\r\nabc\r\n";
   (* key not an int *)
-  bad "*1\r\n$3\r\nGET\r\n";
+  bad Resp.parse_command "*1\r\n$3\r\nGET\r\n";
   (* arity *)
-  bad "+hello\r\n" (* replies are not commands *)
+  bad Resp.parse_command "+hello\r\n";
+  (* replies are not commands *)
+  (* a length near max_int overflowed [body + n + 2] into an out-of-bounds
+     read; one past [Request.max_size] was buffered for *)
+  List.iter
+    (fun n ->
+      bad Resp.parse_command (hostile_set n);
+      bad Resp.parse_reply (Printf.sprintf "$%d\r\n" n))
+    [ max_int; max_int - 1; 1_000_000_000; Mutps_queue.Request.max_size + 1 ]
 
 let test_resp_reply_roundtrip () =
   let roundtrip r =
@@ -244,6 +256,66 @@ let test_resp_reply_roundtrip () =
   roundtrip (Resp.Ok_simple "OK");
   roundtrip (Resp.Ok_simple "PONG");
   roundtrip (Resp.Error "ERR nope")
+
+(* QCheck law: neither parser raises on random bytes or on valid frames
+   with a byte changed, a tail cut, or a length field rewritten. *)
+let valid_frames =
+  List.map encode_cmd
+    [ Resp.Get 42L; Resp.Set (7L, Bytes.of_string "v\r\n$9"); Resp.Del (-3L);
+      Resp.Ping ]
+  @ List.map Resp.reply_to_string
+      [ Resp.Value (Bytes.of_string "abc"); Resp.Nil; Resp.Ok_simple "OK";
+        Resp.Error "nope" ]
+
+(* Replace the decimal field after the [k]th '*' or '$' marker with [n]. *)
+let set_length s k n =
+  let marks =
+    List.filter (fun i -> s.[i] = '*' || s.[i] = '$')
+      (List.init (String.length s) Fun.id)
+  in
+  if marks = [] then s
+  else
+    let i = List.nth marks (k mod List.length marks) in
+    let j =
+      Option.value ~default:(String.length s) (String.index_from_opt s i '\r')
+    in
+    String.sub s 0 (i + 1) ^ string_of_int n
+    ^ String.sub s j (String.length s - j)
+
+let mutated_frame =
+  let open QCheck.Gen in
+  let length =
+    oneof
+      [ int; small_signed_int;
+        oneofl [ max_int; max_int - 2; min_int; 1_000_000_000; -1; -2 ] ]
+  in
+  let mutate s =
+    oneof
+      [ map2
+          (fun i c ->
+            if s = "" then s
+            else
+              String.mapi
+                (fun j d -> if j = i mod String.length s then c else d)
+                s)
+          nat char;
+        map (fun i -> String.sub s 0 (i mod (String.length s + 1))) nat;
+        map2 (set_length s) nat length ]
+  in
+  oneofl valid_frames >>= mutate >>= fun s -> oneof [ return s; mutate s ]
+
+let parsers_total s =
+  let b = Bytes.of_string s in
+  ignore (Resp.parse_command b ~len:(Bytes.length b));
+  ignore (Resp.parse_reply b ~len:(Bytes.length b));
+  true
+
+let qcheck_parsers_never_raise =
+  QCheck.Test.make ~count:2_000 ~name:"parsers never raise"
+    QCheck.(
+      make ~print:String.escaped
+        Gen.(oneof [ mutated_frame; string_size ~gen:char (0 -- 64) ]))
+    parsers_total
 
 (* ------------------------------------------------------------------ *)
 (* Sim-vs-native equivalence                                           *)
@@ -512,6 +584,83 @@ let test_serve_ping_and_errors () =
   Server.stop handle;
   ignore (Server.wait handle)
 
+(* Connection faults stay with their connection.  Every read waits in
+   [select] with a timeout, so a dead server fails the test instead of
+   hanging it. *)
+let connect path =
+  let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX path);
+  fd
+
+let send_all fd s =
+  let rec go off =
+    if off < String.length s then
+      go (off + Unix.write_substring fd s off (String.length s - off))
+  in
+  go 0
+
+(* Bytes received until [enough] holds or the peer closes. *)
+let read_until ?(timeout = 5.0) fd enough =
+  let acc = Buffer.create 64 and chunk = Bytes.create 4096 in
+  let rec go () =
+    if enough (Buffer.contents acc) then Buffer.contents acc
+    else
+      match Unix.select [ fd ] [] [] timeout with
+      | [], _, _ -> Alcotest.fail "timed out waiting for the server"
+      | _ -> (
+        match Unix.read fd chunk 0 (Bytes.length chunk) with
+        | 0 -> Buffer.contents acc
+        | n ->
+          Buffer.add_subbytes acc chunk 0 n;
+          go ())
+  in
+  go ()
+
+let test_serve_survives_faulty_clients () =
+  let path = Filename.temp_file "mutps-fault" ".sock" in
+  Sys.remove path;
+  let handle =
+    Server.launch
+      {
+        Server.default_config with
+        Server.listen = Server.Unix_path path;
+        domains = 2;
+        shards = 1;
+        keyspace = 256;
+        value_size = 16;
+      }
+  in
+  (* a hostile frame: an error reply, then the server closes *)
+  let hostile = connect path in
+  send_all hostile (hostile_set max_int);
+  let reply = read_until hostile (fun _ -> false) in
+  check_bool "hostile frame answered with an error" true
+    (String.length reply >= 4 && String.sub reply 0 4 = "-ERR");
+  Unix.close hostile;
+  (* a client pipelining 20,001 GETs and leaving without reading a reply:
+     the server's writes fail with EPIPE *)
+  let early = connect path in
+  let b = Buffer.create (20_001 * 32) in
+  for i = 0 to 20_000 do
+    Resp.encode_command b (Resp.Get (Int64.of_int (i mod 256)))
+  done;
+  send_all early (Buffer.contents b);
+  Unix.close early;
+  (* a fresh connection is still served *)
+  let fresh = connect path in
+  send_all fresh "*1\r\n$4\r\nPING\r\n";
+  check_string "fresh connection served" "+PONG\r\n"
+    (read_until fresh (fun r -> String.length r >= 7));
+  Unix.close fresh;
+  Server.stop handle;
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  while Sys.file_exists path && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.01
+  done;
+  check_bool "socket file removed at shutdown" false (Sys.file_exists path);
+  let s = Server.wait handle in
+  check_int "three connections accepted" 3 s.Server.conns
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "native"
@@ -544,6 +693,7 @@ let () =
           Alcotest.test_case "incremental" `Quick test_resp_incremental;
           Alcotest.test_case "bad input" `Quick test_resp_bad_input;
           Alcotest.test_case "reply roundtrip" `Quick test_resp_reply_roundtrip;
+          qt qcheck_parsers_never_raise;
         ] );
       ( "equivalence",
         [
@@ -557,5 +707,7 @@ let () =
           Alcotest.test_case "serve + loadgen" `Quick test_serve_loadgen;
           Alcotest.test_case "ping and protocol errors" `Quick
             test_serve_ping_and_errors;
+          Alcotest.test_case "survives faulty clients" `Quick
+            test_serve_survives_faulty_clients;
         ] );
     ]
